@@ -23,8 +23,8 @@
 //! intervals** of the good-trial rate — the fraction of trials delivering
 //! ≥ 50%, a genuine binomial over independent trials. The tighter
 //! distributional equivalence claims live in `tests/cohort_equivalence.rs`
-//! (cluster-robust jammer grid) and `tests/partition_invariance.rs`
-//! (replayability and shard invariance of the aggregate path).
+//! (cluster-robust jammer grid, per-seed replayability of the aggregate
+//! path).
 
 use crate::config::ExpConfig;
 use crate::experiments::util::run_instance;

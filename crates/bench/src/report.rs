@@ -94,7 +94,7 @@ impl ReportBuilder {
     }
 
     /// Record an exact (CI-free) metric value for one cell. Non-finite
-    /// values are rejected (see [`ReportBuilder::finite_or_warn`]).
+    /// values are rejected (see `ReportBuilder::finite_or_warn`).
     pub fn row(&mut self, cell: impl Display, metric: &str, value: f64) -> &mut Self {
         let cell = cell.to_string();
         if !Self::finite_or_warn(&cell, metric, &[value]) {
@@ -113,7 +113,7 @@ impl ReportBuilder {
 
     /// Record an estimated metric with an explicit confidence interval and
     /// sample count. Non-finite values or interval endpoints are rejected
-    /// (see [`ReportBuilder::finite_or_warn`]).
+    /// (see `ReportBuilder::finite_or_warn`).
     pub fn row_ci(
         &mut self,
         cell: impl Display,

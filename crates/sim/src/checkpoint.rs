@@ -53,15 +53,15 @@
 //! vectors length-prefixed. Blobs hold *dynamic* state only — anything
 //! fixed at construction is re-supplied by the rebuilt instance.
 
-use crate::engine::DutyCycle;
-use crate::message::Payload;
+use crate::cohort::Cohort;
+use crate::duty::DutySet;
 use crate::metrics::{AccessCounts, JobOutcome, SlotCounts};
 use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Version tag of the checkpoint wire format. Bump on any layout change;
 /// [`crate::engine::Engine::restore`] rejects other versions.
-pub const CHECKPOINT_VERSION: u32 = 1;
+pub const CHECKPOINT_VERSION: u32 = 2;
 
 /// A complete engine-state image at a slot boundary. See the
 /// [module docs](self) for the capture contract.
@@ -108,13 +108,13 @@ pub struct Checkpoint {
     /// jobs (their protocols are rebuilt fresh or never consulted).
     pub protocol_state: Vec<Option<Vec<u64>>>,
     /// Duty groups and per-job duty bookkeeping, verbatim.
-    pub duty: DutySnap,
-    /// Cohort aggregates (cohort fidelity).
-    pub cohorts: Vec<CohortSnap>,
+    pub duty: DutySet,
+    /// Cohort aggregates (cohort fidelity), verbatim.
+    pub cohorts: Vec<Cohort>,
     /// Phase-synchronized class aggregates (cohort fidelity).
     pub classes: Vec<ClassSnap>,
-    /// The vectorized kernel's state as one flat word blob (empty unless
-    /// vectorized fidelity).
+    /// The vectorized kernel's state as one flat word blob (an empty
+    /// kernel unless vectorized fidelity).
     pub kernel: Vec<u64>,
     /// Jam attempts so far ([`crate::jamming::Jammer::attempted`]).
     pub jams_attempted: u64,
@@ -137,62 +137,6 @@ pub struct ParkedSnap {
     pub pushes: u64,
     /// High-water mark of queued entries.
     pub peak: u64,
-}
-
-/// One duty group, verbatim — **including member order**: the group's
-/// listen representative is its first registered member, so member order
-/// is behavior and must survive the round-trip exactly.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct DutyGroupSnap {
-    /// Pattern length in slots.
-    pub period: u8,
-    /// Global round position of pattern position 0.
-    pub anchor_mod: u8,
-    /// Wake-position bitmask.
-    pub wake_mask: u64,
-    /// Standing-transmission bitmask.
-    pub tx_mask: u64,
-    /// Aggregate-listen bitmask.
-    pub listen_mask: u64,
-    /// Payload broadcast at `tx_mask` positions.
-    pub payload: Payload,
-    /// Live member job indices, in engine order.
-    pub members: Vec<u32>,
-}
-
-/// All duty groups plus per-job duty bookkeeping, restored verbatim.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct DutySnap {
-    /// The groups, in creation order.
-    pub groups: Vec<DutyGroupSnap>,
-    /// Total live members across groups.
-    pub total: u64,
-    /// Per-job `(group index + 1, position in members)`; group 0 = none.
-    pub where_of: Vec<(u32, u32)>,
-    /// Per-job registered `DutyCycle` (the fast-path identity compare).
-    pub reg_dc: Vec<Option<DutyCycle>>,
-    /// Per-job first slot from which standing positions count.
-    pub reg_slot: Vec<u64>,
-    /// Per-job: a deadline backstop entry exists in the wake queue.
-    pub backstopped: Vec<bool>,
-    /// Backstop queue entries whose job already left the duty layer.
-    pub dead_backstops: u64,
-}
-
-/// One cohort aggregate — **member order matters** (winner selection is a
-/// uniform index draw; `fresh` splits the member vector positionally).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct CohortSnap {
-    /// True for the one-shot hazard model, false for `Constant`.
-    pub one_shot: bool,
-    /// `p.to_bits()` of the constant per-slot probability (0 for one-shot).
-    pub p_bits: u64,
-    /// Shared deadline.
-    pub deadline: u64,
-    /// Live member job indices, in engine order.
-    pub members: Vec<u32>,
-    /// One-shot only: `members[..fresh]` have not yet spent their attempt.
-    pub fresh: u64,
 }
 
 /// One phase-synchronized class aggregate. The driver is rebuilt through
@@ -428,6 +372,22 @@ mod tests {
 
     #[test]
     fn checkpoint_serde_round_trip() {
+        let mut duty = DutySet::default();
+        duty.prepare(3);
+        let dc = crate::engine::DutyCycle {
+            period: 8,
+            wake_mask: 0b1,
+            tx_mask: 0b10,
+            tx_payload: crate::message::Payload::Control(crate::message::ControlMsg::of_kind(7)),
+            listen_mask: 0b100,
+            anchor_local: 3,
+        };
+        duty.register(2, &dc, 0, 4);
+        duty.register(0, &dc, 0, 8);
+        let mut set = crate::cohort::CohortSet::default();
+        set.insert(crate::engine::CohortTx::OneShot, 256, 5);
+        set.insert(crate::engine::CohortTx::Constant { p: 0.1 }, 256, 7);
+        let (cohorts, _) = set.save();
         let ck = Checkpoint {
             version: CHECKPOINT_VERSION,
             fingerprint: 0xdead_beef,
@@ -463,30 +423,8 @@ mod tests {
                 peak: 3,
             },
             protocol_state: vec![Some(vec![1, 2]), None, Some(Vec::new())],
-            duty: DutySnap {
-                groups: vec![DutyGroupSnap {
-                    period: 8,
-                    anchor_mod: 3,
-                    wake_mask: 0b1,
-                    tx_mask: 0b10,
-                    listen_mask: 0b100,
-                    payload: Payload::Control(crate::message::ControlMsg::of_kind(7)),
-                    members: vec![2, 0],
-                }],
-                total: 2,
-                where_of: vec![(1, 1), (0, 0), (1, 0)],
-                reg_dc: vec![None, None, None],
-                reg_slot: vec![5, 0, 9],
-                backstopped: vec![true, false, false],
-                dead_backstops: 1,
-            },
-            cohorts: vec![CohortSnap {
-                one_shot: true,
-                p_bits: 0,
-                deadline: 256,
-                members: vec![5, 7, 6],
-                fresh: 2,
-            }],
+            duty,
+            cohorts,
             classes: vec![ClassSnap {
                 tag: 11,
                 release: 0,

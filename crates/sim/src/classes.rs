@@ -30,9 +30,8 @@
 //! seed via [`crate::rng::StreamLabel::Class`] and the class's identity
 //! `(tag, release, deadline)`. Construction of a counter RNG is free and the
 //! stream depends only on the key and the slot number — never on scheduling
-//! order or shard layout — so aggregate runs are exactly replayable and
-//! shard/partition-invariant, matching the PR 6 contract for the vectorized
-//! kernel.
+//! order — so aggregate runs are exactly replayable, as the vectorized
+//! kernel's are.
 //!
 //! ## Fidelity contract
 //!
@@ -44,10 +43,12 @@
 //! take the exact per-job path so the kernel's bit-identity contract is
 //! untouched.
 
-use crate::engine::Protocol;
-use crate::job::JobId;
+use crate::checkpoint::{CheckpointError, ClassSnap};
+use crate::engine::{JobCtx, Protocol};
+use crate::job::{JobId, JobSpec};
 use crate::message::Payload;
 use crate::probe::ProbeEvent;
+use crate::rng::{SeedSeq, StreamLabel};
 use crate::slot::Feedback;
 
 /// Class-level context handed to [`crate::engine::Protocol::class_driver`]
@@ -177,32 +178,37 @@ pub fn class_stream_index(tag: u64, release: u64, deadline: u64) -> u64 {
 }
 
 /// One live aggregate class inside the engine.
-pub(crate) struct ClassEntry {
+struct ClassEntry {
     /// Protocol-chosen discriminant (commits to protocol kind + parameters).
-    pub tag: u64,
+    tag: u64,
     /// Shared release slot.
-    pub release: u64,
+    release: u64,
     /// Shared deadline slot.
-    pub deadline: u64,
+    deadline: u64,
     /// Cached `driver.live()` from the end of the previous slot.
-    pub live: usize,
+    live: usize,
     /// This slot's transmitter count (reset every slot).
-    pub count: u64,
+    count: u64,
     /// The job that opened the class (supplied its driver via
     /// [`crate::engine::Protocol::class_driver`]). A checkpoint restore
     /// rebuilds the driver through the same opener.
-    pub opener: u32,
+    opener: u32,
     /// The shared state machine.
-    pub driver: Box<dyn ClassDriver>,
+    driver: Box<dyn ClassDriver>,
 }
 
-/// The set of live aggregate classes (engine-internal).
+/// The set of live aggregate classes: the [`Fidelity::Cohort`] owner of
+/// phase-synchronized jobs, driven by the engine once per slot through
+/// [`begin_slot`](Self::begin_slot), [`materialize`](Self::materialize),
+/// [`settle`](Self::settle) and [`dissolve`](Self::dissolve).
+///
+/// [`Fidelity::Cohort`]: crate::engine::Fidelity::Cohort
 #[derive(Default)]
 pub(crate) struct ClassSet {
-    pub entries: Vec<ClassEntry>,
+    entries: Vec<ClassEntry>,
     /// Total live members across all entries; the engine's liveness
     /// accounting (gap-skip gating, all-dead break, `live_jobs`).
-    pub total: usize,
+    total: usize,
 }
 
 impl ClassSet {
@@ -212,13 +218,227 @@ impl ClassSet {
         self.total = 0;
     }
 
-    /// Find the entry for `(tag, release, deadline)`, scanning newest-first
-    /// (same-slot admissions cluster at the back).
-    pub fn find_mut(&mut self, tag: u64, release: u64, deadline: u64) -> Option<&mut ClassEntry> {
-        self.entries
+    /// Live members (the engine's liveness accounting).
+    pub fn live(&self) -> usize {
+        self.total
+    }
+
+    /// Ask `protocol` — the class's opening member, whose context is `ctx`
+    /// — for the driver of class `(tag, release, deadline)`.
+    fn open(
+        protocol: &dyn Protocol,
+        ctx: &JobCtx,
+        seeds: &SeedSeq,
+        tag: u64,
+        release: u64,
+        deadline: u64,
+    ) -> Option<Box<dyn ClassDriver>> {
+        let cctx = ClassCtx {
+            release,
+            deadline,
+            window: deadline - release,
+            class_seed: seeds.derive(
+                StreamLabel::Class,
+                class_stream_index(tag, release, deadline),
+            ),
+            probed: ctx.probed,
+        };
+        protocol.class_driver(ctx, &cctx)
+    }
+
+    /// Route the activating job `spec` (context `ctx`) into its class,
+    /// opening the driver at first contact (see
+    /// [`crate::engine::CohortTx::Class`]). Returns `false` when the
+    /// protocol declines to supply a driver; the job then takes the exact
+    /// per-job path.
+    pub fn admit(
+        &mut self,
+        tag: u64,
+        spec: &JobSpec,
+        ctx: &JobCtx,
+        protocol: &dyn Protocol,
+        seeds: &SeedSeq,
+    ) -> bool {
+        // Same-slot admissions cluster at the back: scan newest-first.
+        let (release, deadline) = (spec.release, spec.deadline);
+        if let Some(entry) = self
+            .entries
             .iter_mut()
             .rev()
             .find(|e| e.tag == tag && e.release == release && e.deadline == deadline)
+        {
+            entry.driver.admit(spec.id);
+            entry.live += 1;
+            self.total += 1;
+            return true;
+        }
+        let Some(mut driver) = Self::open(protocol, ctx, seeds, tag, release, deadline) else {
+            return false;
+        };
+        driver.admit(spec.id);
+        self.entries.push(ClassEntry {
+            tag,
+            release,
+            deadline,
+            live: 1,
+            count: 0,
+            opener: spec.id,
+            driver,
+        });
+        self.total += 1;
+        true
+    }
+
+    /// Open `slot`: each class's shared state machine decides its
+    /// transmitter count (one exact binomial on sampled steps, a
+    /// deterministic count on broadcast steps, zero on listen steps). Adds
+    /// the classes' declared contention to `declared` and returns the
+    /// slot's class transmitter count.
+    pub fn begin_slot(&mut self, slot: u64, declared: &mut f64) -> u64 {
+        let mut n = 0;
+        for entry in &mut self.entries {
+            let decl = entry.driver.begin_slot(slot);
+            entry.count = decl.count;
+            n += decl.count;
+            *declared += decl.declared;
+        }
+        n
+    }
+
+    /// A class holds the slot's only transmission: it names the member
+    /// and payload that go on the channel, making the slot's `src`
+    /// concrete.
+    pub fn materialize(&mut self, slot: u64) -> (JobId, Payload) {
+        self.entries
+            .iter_mut()
+            .find(|e| e.count == 1)
+            .expect("a lone class transmission implies a class with count 1")
+            .driver
+            .materialize(slot)
+    }
+
+    /// Close `slot`: each driver observes the public feedback — exactly
+    /// what a listening member sees — updates its shared state, and pushes
+    /// state changes that materialize members (elected leaders leaving the
+    /// aggregate as exact-path jobs) into `out`. A delivered member was
+    /// already credited by the engine (it was the slot's `src`); its
+    /// driver merely drops it from the live set.
+    pub fn settle(&mut self, slot: u64, fb: &Feedback, out: &mut Vec<ClassEvent>) {
+        for entry in &mut self.entries {
+            entry.driver.end_slot(slot, fb, out);
+            entry.count = 0;
+            let live = entry.driver.live();
+            self.total -= entry.live - live;
+            entry.live = live;
+        }
+    }
+
+    /// Move the drivers' buffered probe events into `out`, in insertion
+    /// order (activation order — deterministic for an instance and seed).
+    pub fn drain_events(&mut self, out: &mut Vec<ProbeEvent>) {
+        for entry in &mut self.entries {
+            entry.driver.drain_events(out);
+        }
+    }
+
+    /// Classes dissolve after `slot` at their shared deadline or once every
+    /// member delivered / ejected / gave up. Members still aggregated at
+    /// the deadline settle to Missed in the engine's end-of-run sweep.
+    pub fn dissolve(&mut self, slot: u64) {
+        let mut c = 0;
+        while c < self.entries.len() {
+            let entry = &self.entries[c];
+            if slot + 1 >= entry.deadline || entry.live == 0 {
+                self.total -= entry.live;
+                self.entries.swap_remove(c);
+                continue;
+            }
+            c += 1;
+        }
+    }
+
+    /// Capture every class for a checkpoint; fails when a driver has no
+    /// state capture.
+    pub fn save(&self) -> Result<Vec<ClassSnap>, CheckpointError> {
+        self.entries
+            .iter()
+            .map(|e| {
+                let state = e.driver.save_state().ok_or_else(|| {
+                    CheckpointError::Unsupported(format!(
+                        "class driver (tag {}) does not implement save_state",
+                        e.tag
+                    ))
+                })?;
+                Ok(ClassSnap {
+                    tag: e.tag,
+                    release: e.release,
+                    deadline: e.deadline,
+                    live: e.live as u64,
+                    opener: e.opener,
+                    state,
+                })
+            })
+            .collect()
+    }
+
+    /// Rebuild saved classes: each driver is reopened through its opening
+    /// job's protocol — exactly how the original run obtained it — and the
+    /// captured dynamic state is replayed over it. `specs` and
+    /// `protocols` are the run's job table columns; `aligned` is its
+    /// aligned-clock setting.
+    pub fn load(
+        &mut self,
+        snaps: &[ClassSnap],
+        specs: &[JobSpec],
+        protocols: &[Box<dyn Protocol>],
+        seeds: &SeedSeq,
+        aligned: bool,
+    ) -> Result<(), CheckpointError> {
+        let mismatch = |what: &str| Err(CheckpointError::Mismatch(what.into()));
+        for c in snaps {
+            let opener = c.opener as usize;
+            let Some(spec) = specs.get(opener) else {
+                return mismatch("class opener out of range");
+            };
+            if spec.release != c.release || spec.deadline != c.deadline {
+                return mismatch("class opener window differs from the checkpoint");
+            }
+            let ctx = JobCtx::at(spec, spec.release, aligned, false);
+            let opened = Self::open(
+                protocols[opener].as_ref(),
+                &ctx,
+                seeds,
+                c.tag,
+                c.release,
+                c.deadline,
+            );
+            let Some(mut driver) = opened else {
+                return Err(CheckpointError::Unsupported(format!(
+                    "job {opener} does not open a class driver for tag {}",
+                    c.tag
+                )));
+            };
+            if !driver.restore_state(&c.state) {
+                return Err(CheckpointError::Unsupported(format!(
+                    "class driver (tag {}) rejected its state blob",
+                    c.tag
+                )));
+            }
+            if driver.live() as u64 != c.live {
+                return mismatch("restored class live count differs from the checkpoint");
+            }
+            self.total += c.live as usize;
+            self.entries.push(ClassEntry {
+                tag: c.tag,
+                release: c.release,
+                deadline: c.deadline,
+                live: c.live as usize,
+                count: 0,
+                opener: c.opener,
+                driver,
+            });
+        }
+        Ok(())
     }
 }
 

@@ -11,9 +11,9 @@
 //!    ([`Fidelity::Vectorized`](crate::engine::Fidelity)) evaluates
 //!    thousands of independent Bernoulli draws per slot without
 //!    materializing per-job generators.
-//! 2. **Partition invariance.** A trial split across worker shards is
-//!    bit-identical to the single-threaded run regardless of how jobs
-//!    are partitioned, because no draw depends on any other draw.
+//! 2. **Order independence.** No draw depends on any other draw, so the
+//!    order (or partition) in which jobs are visited cannot change a
+//!    result.
 //! 3. **O(1) replay.** Any `(trial, job, slot)` decision can be
 //!    recomputed after the fact — see [`replay_bernoulli`] and
 //!    [`replay_oneshot`] — without re-running the trial.

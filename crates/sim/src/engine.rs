@@ -1,33 +1,54 @@
 //! The slot-synchronized simulation engine.
 //!
 //! The engine owns a set of jobs, each driven by a [`Protocol`]
-//! implementation, and advances the channel slot by slot:
+//! implementation, and advances the channel slot by slot: live jobs act,
+//! the channel resolves silence / success / noise (the
+//! [`crate::jamming::Jammer`] may add noise), and every listener hears the
+//! slot's [`Feedback`]. The engine is the *only* component with a global
+//! view; protocols are handed a [`JobCtx`] that deliberately omits the
+//! global slot index unless [`EngineConfig::expose_aligned_clock`] is set
+//! (valid only for the power-of-2-aligned special case of Section 3, where
+//! window alignment makes a shared clock implicitly available).
 //!
-//! 1. jobs whose release slot arrived are **activated**;
-//! 2. every live job chooses an [`Action`] (transmit / listen / sleep) —
-//!    seeing only its *local* context, per the paper's model;
-//! 3. the channel resolves the slot (silence / success / noise), the
-//!    [`crate::jamming::Jammer`] gets a chance to create noise;
-//! 4. listeners receive the slot's [`Feedback`];
-//! 5. jobs whose data message was delivered, whose protocol reports done, or
-//!    whose window closed are retired.
+//! ## Owners and stages
 //!
-//! The engine is the *only* component with a global view; protocols are
-//! handed a [`JobCtx`] that deliberately omits the global slot index unless
-//! [`EngineConfig::expose_aligned_clock`] is set (valid only for the
-//! power-of-2-aligned special case of Section 3, where window alignment
-//! makes a shared clock implicitly available).
+//! Each live job belongs to exactly one **owner**, chosen once, when it
+//! activates: the exact per-job path (the active set and wake queue), a
+//! `DutySet` group (periodic schedules, event-driven only), a
+//! `CohortSet` cohort or a `ClassSet` class (under
+//! [`Fidelity::Cohort`]), or the `SlotKernel` (under
+//! [`Fidelity::Vectorized`]). An owner with no members contributes
+//! nothing, so the slot loop is one fixed sequence of stages with no
+//! fidelity switch:
+//!
+//! | stage | owner | reads | writes |
+//! |---|---|---|---|
+//! | expire | kernel | deadlines | kernel liveness |
+//! | gap skip | all (liveness, next event) | releases, wake slots, duty pattern | slot cursor, silent counts, adversary |
+//! | wake | wake queue, duty groups | due entries | active set; backstopped members leave their group |
+//! | activate | cohorts, classes, kernel, active set | `cohort_tx`, `class_driver` | the job's owner |
+//! | collect actions | active set, duty groups | `act`, `tx_probability` | transmitters, codes, standing and listen groups |
+//! | aggregate draws | cohorts, classes, kernel | cohort stream, class and job counters | transmitter counts, kernel transmitters |
+//! | resolve + account | cohorts, classes, jammer | all transmitters | lone winner, collision charges, slot counts, trace |
+//! | deliver | kernel, cohorts | delivered data | outcomes, kernel lanes, cohort winner |
+//! | feedback: active | active set, wake queue | feedback, `duty_cycle`, `next_wake` | protocol state; retire, park, or join a group |
+//! | feedback: duty members | duty groups | feedback, `duty_cycle` | protocol state; regroup or retire |
+//! | feedback: listen fan-out | duty groups | `duty_listen` of one representative | per-member feedback when not group-invariant |
+//! | class settle | classes | feedback | class state; ejected members join the active set |
+//! | probe drain | probe bus | protocol and driver events | bus |
+//! | dissolve | cohorts, classes | deadlines | drops finished aggregates |
 //!
 //! ## Hot-path layout
 //!
-//! Job state is a struct-of-arrays [`JobTable`]: specs, protocol objects,
-//! RNG streams, outcomes, and access counters live in parallel vectors
-//! indexed by job id. The per-slot loop walks an **active set** of indices
-//! and retires or parks jobs by `swap_remove`, so retired and not-yet-released
-//! jobs cost nothing per slot. The visiting *order* of the active set is
-//! therefore arbitrary — which is sound because every observable outcome
-//! depends only on per-job private RNG streams and the slot's aggregate
-//! transmission count, never on the order jobs were polled in.
+//! Job state is a struct-of-arrays job table: specs, protocol objects,
+//! counter-RNG keys, outcomes, and access counters live in parallel
+//! vectors indexed by job id. The per-slot loop walks an **active set** of
+//! indices and retires or parks jobs by `swap_remove`, so retired and
+//! not-yet-released jobs cost nothing per slot. The visiting *order* of the
+//! active set is therefore arbitrary — which is sound because every
+//! observable outcome depends only on per-job private RNG streams and the
+//! slot's aggregate transmission count, never on the order jobs were polled
+//! in.
 //!
 //! ## Trial arena
 //!
@@ -40,12 +61,11 @@
 //! results (the reset contract is exactly "everything derived from the seed
 //! and the jobs is cleared").
 
-use crate::checkpoint::{
-    Checkpoint, CheckpointError, ClassSnap, CohortSnap, Digest, DutyGroupSnap, DutySnap,
-    ParkedSnap, CHECKPOINT_VERSION,
-};
-use crate::classes::{class_stream_index, ClassCtx, ClassDriver, ClassEntry, ClassEvent, ClassSet};
+use crate::checkpoint::{Checkpoint, CheckpointError, Digest, CHECKPOINT_VERSION};
+use crate::classes::{ClassCtx, ClassDriver, ClassEvent, ClassSet};
+use crate::cohort::CohortSet;
 use crate::crng::{CounterRng, Phase};
+use crate::duty::DutySet;
 use crate::jamming::{Adversary, Jammer, SlotView};
 use crate::job::{JobId, JobSpec};
 use crate::kernel::SlotKernel;
@@ -54,11 +74,11 @@ use crate::metrics::{
     AccessCounts, ContentionStats, JamStats, JobOutcome, SchedStats, SimReport, SlotCounts,
 };
 use crate::probe::{ProbeBus, ProbeEvent, ProbeRecord, ProbeReport, ProbeSpec, VecSink};
-use crate::rng::{sample_binomial, SeedSeq, StreamLabel};
+use crate::rng::{SeedSeq, StreamLabel};
 use crate::sched::WakeQueue;
 use crate::slot::Feedback;
 use crate::trace::{SlotOutcome, SlotRecord};
-use rand::{Rng, RngCore};
+use rand::RngCore;
 use rand_chacha::ChaCha8Rng;
 use serde::{Deserialize, Serialize};
 
@@ -98,6 +118,18 @@ pub struct JobCtx {
 }
 
 impl JobCtx {
+    /// The context of job `spec` in global slot `slot` (at or after its
+    /// release).
+    pub(crate) fn at(spec: &JobSpec, slot: u64, aligned: bool, probed: bool) -> Self {
+        Self {
+            id: spec.id,
+            window: spec.window(),
+            local_time: slot - spec.release,
+            aligned_time: aligned.then_some(slot),
+            probed,
+        }
+    }
+
     /// Slots remaining in the window *including* the current slot.
     #[inline]
     pub fn remaining(&self) -> u64 {
@@ -385,9 +417,8 @@ pub enum Fidelity {
     /// have their single transmission slot precomputed into a calendar.
     /// Because every draw is counter-based (`crate::crng`), the kernel
     /// is **bit-identical** to [`Fidelity::Exact`] — same outcomes, same
-    /// counters, same trace tallies — while skipping per-job dispatch,
-    /// and independent of [`EngineConfig::kernel_shards`]. Jobs whose
-    /// protocol returns `None` still take the exact path.
+    /// counters, same trace tallies — while skipping per-job dispatch.
+    /// Jobs whose protocol returns `None` still take the exact path.
     Vectorized,
 }
 
@@ -411,10 +442,6 @@ pub struct EngineConfig {
     /// probe layer entirely; with `record_trace` also off, the slot loop
     /// does no observability work beyond two branch checks.
     pub probe: Option<ProbeSpec>,
-    /// Worker shards for the vectorized kernel's Bernoulli pass
-    /// (`0`/`1` = single-threaded). Counter-based draws make the result
-    /// bit-identical for every shard count; only wall-clock changes.
-    pub kernel_shards: usize,
 }
 
 impl EngineConfig {
@@ -453,13 +480,6 @@ impl EngineConfig {
     /// Enable the vectorized slot kernel (see [`Fidelity::Vectorized`]).
     pub fn vectorized(mut self) -> Self {
         self.fidelity = Fidelity::Vectorized;
-        self
-    }
-
-    /// Set the kernel's worker-shard count (see
-    /// [`EngineConfig::kernel_shards`]).
-    pub fn with_kernel_shards(mut self, shards: usize) -> Self {
-        self.kernel_shards = shards;
         self
     }
 }
@@ -505,9 +525,15 @@ impl JobTable {
         self.outcomes.clear();
         self.accesses.clear();
     }
+
+    /// Settle job `idx` as missed unless it already has an outcome.
+    fn retire(&mut self, idx: usize) {
+        self.outcomes[idx].get_or_insert(JobOutcome::Missed);
+    }
 }
 
-/// Scratch buffers reused across slots so the hot loop stays allocation-free.
+/// Per-slot working state, handed from stage to stage; the buffers are
+/// reused across slots so the hot loop stays allocation-free.
 #[derive(Default)]
 struct SlotScratch {
     /// Indices (into the job table) of jobs that transmitted, with payloads.
@@ -520,11 +546,22 @@ struct SlotScratch {
     /// The ctx each polled job acted under, parallel to `polled`, so the
     /// fused feedback pass reuses it instead of rebuilding.
     ctxs: Vec<JobCtx>,
+    /// Where duty members start in `polled` (the active set's length when
+    /// actions were collected).
+    duty_from: usize,
     /// Indices (into `DutySet::groups`) of groups with a listen bit at the
     /// current position, resolved per group after the slot's feedback.
     listen_groups: Vec<u32>,
-    /// Per-slot cohort draws: `(cohort index, transmitter count)`.
-    cohort_hits: Vec<(u32, u64)>,
+    /// Standing duty transmissions this slot, and the lone one's
+    /// `(job, payload)` when there is exactly one.
+    standing: u64,
+    standing_single: Option<(u32, Payload)>,
+    /// Transmitter counts the cohorts and classes drew this slot.
+    cohort_tx: u64,
+    class_tx: u64,
+    /// The slot's declared contention `C(t)` (diagnostic; meaningful only
+    /// while some sink records slot traces).
+    declared: f64,
     /// Polled indices in job-id order, for deterministic probe drains.
     probe_order: Vec<u32>,
     /// Job indices the vectorized kernel says transmit this slot.
@@ -540,7 +577,6 @@ impl SlotScratch {
         self.codes.clear();
         self.ctxs.clear();
         self.listen_groups.clear();
-        self.cohort_hits.clear();
         self.probe_order.clear();
         self.kernel_tx.clear();
         self.class_outbox.clear();
@@ -553,312 +589,14 @@ const CODE_SLEEP: u8 = 0;
 const CODE_LISTEN: u8 = 1;
 const CODE_TX: u8 = 2;
 
-/// One duty group: every member shares the same [`DutyCycle`] schedule
-/// aligned to the same global phase, so the group is visited (and its
-/// standing transmissions are counted) as a unit.
-struct DutyGroup {
-    period: u8,
-    /// Global round position of pattern position 0:
-    /// `(release + anchor_local) % period`.
-    anchor_mod: u8,
-    wake_mask: u64,
-    tx_mask: u64,
-    listen_mask: u64,
-    payload: Payload,
-    /// Live member job indices; `swap_remove` removal, order arbitrary.
-    members: Vec<u32>,
-}
-
-/// Number of slots in `[from, to)` whose position `(s - anchor_mod) % period`
-/// has its bit set in `mask` — the closed form behind lazy standing-
-/// transmission accounting.
-fn covered_count(from: u64, to: u64, period: u8, anchor_mod: u8, mask: u64) -> u64 {
-    if to <= from || mask == 0 {
-        return 0;
-    }
-    let period = u64::from(period);
-    let len = to - from;
-    let mut n = (len / period) * u64::from(mask.count_ones());
-    let mut pos = (from + period - u64::from(anchor_mod)) % period;
-    for _ in 0..len % period {
-        n += mask >> pos & 1;
-        pos += 1;
-        if pos == period {
-            pos = 0;
-        }
-    }
-    n
-}
-
-/// All duty groups of one run, plus per-job membership bookkeeping.
-#[derive(Default)]
-struct DutySet {
-    groups: Vec<DutyGroup>,
-    /// Total live members across all groups.
-    total: usize,
-    /// Per-job `(group index + 1, position in members)`; group 0 = none.
-    where_of: Vec<(u32, u32)>,
-    /// Per-job: the exact `DutyCycle` value the job registered with, so the
-    /// per-visit re-query is one struct compare (the `key_matches` fallback
-    /// handles equivalent-but-unequal values, e.g. a shifted anchor).
-    reg_dc: Vec<Option<DutyCycle>>,
-    /// Per-job first slot from which standing positions count as
-    /// transmissions (settled lazily at deregistration).
-    reg_slot: Vec<u64>,
-    /// Per-job: a deadline backstop entry exists in the wake queue.
-    backstopped: Vec<bool>,
-    /// Backstop wake-queue entries whose job already left the duty layer.
-    /// Queue entries are not removable, so they are discarded when popped —
-    /// and discounted from live-job accounting until then.
-    dead_backstops: u64,
-}
-
-impl DutySet {
-    /// Reset for a run over `n` jobs, keeping allocations.
-    fn prepare(&mut self, n: usize) {
-        self.groups.clear();
-        self.total = 0;
-        self.where_of.clear();
-        self.where_of.resize(n, (0, 0));
-        self.reg_dc.clear();
-        self.reg_dc.resize(n, None);
-        self.reg_slot.clear();
-        self.reg_slot.resize(n, 0);
-        self.backstopped.clear();
-        self.backstopped.resize(n, false);
-        self.dead_backstops = 0;
-    }
-
-    fn clear(&mut self) {
-        self.groups.clear();
-        self.total = 0;
-        self.where_of.clear();
-        self.reg_dc.clear();
-        self.reg_slot.clear();
-        self.backstopped.clear();
-        self.dead_backstops = 0;
-    }
-
-    fn anchor_mod(dc: &DutyCycle, release: u64) -> u8 {
-        ((release + dc.anchor_local) % u64::from(dc.period)) as u8
-    }
-
-    /// Is `idx` registered under exactly the schedule `dc` resolves to?
-    fn key_matches(&self, idx: usize, dc: &DutyCycle, release: u64) -> bool {
-        let (g1, _) = self.where_of[idx];
-        if g1 == 0 {
-            return false;
-        }
-        let g = &self.groups[g1 as usize - 1];
-        g.period == dc.period
-            && g.wake_mask == dc.wake_mask
-            && g.tx_mask == dc.tx_mask
-            && g.listen_mask == dc.listen_mask
-            && g.payload == dc.tx_payload
-            && g.anchor_mod == Self::anchor_mod(dc, release)
-    }
-
-    /// Enter `idx` into the group for `dc` (creating it if needed).
-    /// Standing accounting starts at the slot after `slot` (the current
-    /// slot was acted normally).
-    fn register(&mut self, idx: usize, dc: &DutyCycle, release: u64, slot: u64) {
-        debug_assert!(dc.period > 0 && dc.period <= 64, "period out of range");
-        debug_assert_eq!(dc.wake_mask & dc.tx_mask, 0, "masks must be disjoint");
-        debug_assert_eq!(
-            (dc.wake_mask | dc.tx_mask) & dc.listen_mask,
-            0,
-            "listen mask must be disjoint from wake and tx masks"
-        );
-        debug_assert!(
-            !dc.tx_payload.is_data(),
-            "standing transmissions cannot carry data"
-        );
-        let anchor_mod = Self::anchor_mod(dc, release);
-        let gi = self
-            .groups
-            .iter()
-            .position(|g| {
-                g.period == dc.period
-                    && g.anchor_mod == anchor_mod
-                    && g.wake_mask == dc.wake_mask
-                    && g.tx_mask == dc.tx_mask
-                    && g.listen_mask == dc.listen_mask
-                    && g.payload == dc.tx_payload
-            })
-            .unwrap_or_else(|| {
-                self.groups.push(DutyGroup {
-                    period: dc.period,
-                    anchor_mod,
-                    wake_mask: dc.wake_mask,
-                    tx_mask: dc.tx_mask,
-                    listen_mask: dc.listen_mask,
-                    payload: dc.tx_payload,
-                    members: Vec::new(),
-                });
-                self.groups.len() - 1
-            });
-        let pos = self.groups[gi].members.len();
-        self.groups[gi].members.push(idx as u32);
-        self.where_of[idx] = (gi as u32 + 1, pos as u32);
-        self.reg_dc[idx] = Some(*dc);
-        self.reg_slot[idx] = slot + 1;
-        self.total += 1;
-    }
-
-    /// Remove `idx` from its group, if registered, returning how many
-    /// standing transmissions and aggregate listens it made in
-    /// `[reg_slot, now)`.
-    fn deregister(&mut self, idx: usize, now: u64) -> Option<(u64, u64)> {
-        let (g1, pos) = self.where_of[idx];
-        if g1 == 0 {
-            return None;
-        }
-        let g = &mut self.groups[g1 as usize - 1];
-        let pos = pos as usize;
-        g.members.swap_remove(pos);
-        if let Some(&moved) = g.members.get(pos) {
-            self.where_of[moved as usize].1 = pos as u32;
-        }
-        self.where_of[idx] = (0, 0);
-        self.reg_dc[idx] = None;
-        self.total -= 1;
-        Some((
-            covered_count(self.reg_slot[idx], now, g.period, g.anchor_mod, g.tx_mask),
-            covered_count(
-                self.reg_slot[idx],
-                now,
-                g.period,
-                g.anchor_mod,
-                g.listen_mask,
-            ),
-        ))
-    }
-
-    /// Earliest slot ≥ `slot` at which any group wakes, transmits, or
-    /// listens.
-    fn next_event(&self, slot: u64) -> u64 {
-        let mut best = u64::MAX;
-        let mut memo = (0u64, 0u64);
-        for g in &self.groups {
-            let bits = g.wake_mask | g.tx_mask | g.listen_mask;
-            if g.members.is_empty() || bits == 0 {
-                continue;
-            }
-            let period = u64::from(g.period);
-            if memo.0 != period {
-                memo = (period, slot % period);
-            }
-            let mut pos = memo.1 + period - u64::from(g.anchor_mod);
-            if pos >= period {
-                pos -= period;
-            }
-            // Distance to the next set bit at or after `pos`, cyclically:
-            // rotate the pattern right by `pos` and count trailing zeros.
-            let rot = if period == 64 {
-                bits.rotate_right(pos as u32)
-            } else {
-                ((bits >> pos) | (bits << (period - pos))) & !(u64::MAX << period)
-            };
-            debug_assert_ne!(rot, 0);
-            best = best.min(slot + u64::from(rot.trailing_zeros()));
-        }
-        best
-    }
-}
-
-/// A cohort's sampling model — also its grouping key, alongside the
-/// deadline.
-#[derive(Clone, Copy, PartialEq, Eq)]
-enum CohortModel {
-    /// Bernoulli(`p`) per slot; keyed by the exact bit pattern of `p`
-    /// (no epsilon — distinct floats are distinct cohorts).
-    Constant {
-        /// `p.to_bits()`.
-        p_bits: u64,
-    },
-    /// One attempt at a slot uniform over the window (hazard
-    /// `1/(deadline − t)` among not-yet-attempted members).
-    OneShot,
-}
-
-/// One group of cohort-managed jobs: same model, same deadline, simulated
-/// in aggregate under [`Fidelity::Cohort`].
-struct Cohort {
-    model: CohortModel,
-    /// The constant per-slot probability (`Constant` only; 0 otherwise).
-    p: f64,
-    deadline: u64,
-    /// Live member job indices. Members are exchangeable by construction,
-    /// so removal is `swap_remove` and winner selection is a uniform index
-    /// draw.
-    members: Vec<u32>,
-    /// `OneShot` only: `members[..fresh]` have not yet spent their single
-    /// attempt; spent members sit behind `fresh` awaiting their Missed
-    /// outcome at the deadline. (Which *particular* members are spent is
-    /// never decided unless one must be materialized — exchangeability
-    /// makes the prefix split sufficient.)
-    fresh: usize,
-}
-
-/// All cohorts of one run.
-#[derive(Default)]
-struct CohortSet {
-    cohorts: Vec<Cohort>,
-    /// Total live members across all cohorts.
-    total: usize,
-}
-
-impl CohortSet {
-    fn insert(&mut self, profile: CohortTx, deadline: u64, idx: u32) {
-        let (model, p) = match profile {
-            CohortTx::Constant { p } => (
-                CohortModel::Constant {
-                    p_bits: p.to_bits(),
-                },
-                p,
-            ),
-            CohortTx::OneShot => (CohortModel::OneShot, 0.0),
-            CohortTx::Class { .. } => {
-                unreachable!("class profiles are routed to ClassSet, never to CohortSet")
-            }
-        };
-        match self
-            .cohorts
-            .iter_mut()
-            .find(|c| c.model == model && c.deadline == deadline)
-        {
-            Some(c) => {
-                c.members.push(idx);
-                if c.model == CohortModel::OneShot {
-                    // Keep the new member inside the fresh prefix.
-                    let last = c.members.len() - 1;
-                    c.members.swap(c.fresh, last);
-                    c.fresh += 1;
-                }
-            }
-            None => self.cohorts.push(Cohort {
-                model,
-                p,
-                deadline,
-                members: vec![idx],
-                fresh: 1,
-            }),
-        }
-        self.total += 1;
-    }
-
-    fn clear(&mut self) {
-        self.cohorts.clear();
-        self.total = 0;
-    }
-}
-
 /// Thread-local pool of cleared engine internals, so Monte-Carlo workers
 /// that build one engine per trial still reuse one set of allocations per
 /// thread. Donation happens in [`Engine::drop`]; [`Engine::new`] drains it.
 mod arena {
-    use super::{CohortSet, DutySet, JobTable, SlotScratch, WakeQueue};
+    use super::{JobTable, SlotScratch, WakeQueue};
     use crate::classes::ClassSet;
+    use crate::cohort::CohortSet;
+    use crate::duty::DutySet;
     use crate::kernel::SlotKernel;
     use crate::probe::ProbeEvent;
     use std::cell::{Cell, RefCell};
@@ -948,9 +686,6 @@ struct RunState {
     /// accumulated while some sink records slot traces).
     contention_sum: f64,
     jam_rng: ChaCha8Rng,
-    /// Cohort draws come from their own stream so the exact path's per-job
-    /// streams stay untouched by the mode switch. `Some` iff cohort mode.
-    cohort_rng: Option<ChaCha8Rng>,
     /// The next slot boundary to execute.
     slot: u64,
     /// The slot this engine started executing at — 0 unless the run was
@@ -962,6 +697,28 @@ struct RunState {
     /// The loop hit a terminal condition (horizon, cap, or all jobs dead);
     /// only the [`Engine::finish`] epilogue remains.
     done: bool,
+    /// Job contexts carry the global clock
+    /// ([`EngineConfig::expose_aligned_clock`]).
+    aligned: bool,
+    /// Some sink records slot traces: slots are recorded and declared
+    /// contention is tallied.
+    wants_slots: bool,
+    /// Some sink consumes protocol events.
+    probed: bool,
+    /// The adversary can strike silent slots, so it draws randomness every
+    /// slot and all-parked stretches cannot be skipped without
+    /// desynchronizing (and silencing) it. Keyed off the `Adversary`
+    /// trait's declaration, not any concrete policy; refreshed on every
+    /// resume because a branched replay may swap the adversary at the
+    /// pause boundary.
+    strikes_idle: bool,
+}
+
+impl RunState {
+    /// The context job `spec` acts under in the current slot.
+    fn ctx(&self, spec: &JobSpec) -> JobCtx {
+        JobCtx::at(spec, self.slot, self.aligned, self.probed)
+    }
 }
 
 /// The simulation engine. See the [module docs](self) for the slot loop.
@@ -979,12 +736,13 @@ pub struct Engine {
     by_release: Vec<u32>,
     scratch: SlotScratch,
     event_scratch: Vec<ProbeEvent>,
+    /// Memoryless aggregates (see [`Fidelity::Cohort`]).
     cohorts: CohortSet,
     /// Phase-synchronized aggregate classes (see [`CohortTx::Class`]).
     classes: ClassSet,
     /// Duty groups (periodic-schedule jobs; see [`Protocol::duty_cycle`]).
     duty: DutySet,
-    /// The vectorized slot kernel (inert unless fidelity is
+    /// The vectorized slot kernel (empty unless fidelity is
     /// [`Fidelity::Vectorized`]; see [`crate::kernel`]).
     kernel: SlotKernel,
     /// Guards against a second `run` without a `reset` in between.
@@ -1000,24 +758,7 @@ impl Engine {
     /// [module docs](self) on the trial arena; behavior is identical either
     /// way).
     pub fn new(config: EngineConfig, seed: u64) -> Self {
-        let carcass = arena::take().unwrap_or_default();
-        Self {
-            config,
-            seeds: SeedSeq::new(seed),
-            jammer: Jammer::none(),
-            jobs: carcass.jobs,
-            active: carcass.active,
-            by_release: carcass.by_release,
-            parked: carcass.parked,
-            scratch: carcass.scratch,
-            event_scratch: carcass.event_scratch,
-            cohorts: carcass.cohorts,
-            classes: carcass.classes,
-            duty: carcass.duty,
-            kernel: carcass.kernel,
-            ran: false,
-            run_state: None,
-        }
+        Self::with_parts(config, seed, arena::take().unwrap_or_default())
     }
 
     /// Create an engine with freshly allocated internals, bypassing the
@@ -1025,20 +766,24 @@ impl Engine {
     /// exists so benchmarks and tests can measure or pin down the
     /// no-reuse path explicitly.
     pub fn fresh(config: EngineConfig, seed: u64) -> Self {
+        Self::with_parts(config, seed, arena::Carcass::default())
+    }
+
+    fn with_parts(config: EngineConfig, seed: u64, parts: arena::Carcass) -> Self {
         Self {
             config,
             seeds: SeedSeq::new(seed),
             jammer: Jammer::none(),
-            jobs: JobTable::default(),
-            active: Vec::new(),
-            by_release: Vec::new(),
-            parked: WakeQueue::new(),
-            scratch: SlotScratch::default(),
-            event_scratch: Vec::new(),
-            cohorts: CohortSet::default(),
-            classes: ClassSet::default(),
-            duty: DutySet::default(),
-            kernel: SlotKernel::new(),
+            jobs: parts.jobs,
+            active: parts.active,
+            by_release: parts.by_release,
+            parked: parts.parked,
+            scratch: parts.scratch,
+            event_scratch: parts.event_scratch,
+            cohorts: parts.cohorts,
+            classes: parts.classes,
+            duty: parts.duty,
+            kernel: parts.kernel,
             ran: false,
             run_state: None,
         }
@@ -1055,10 +800,10 @@ impl Engine {
     ///
     /// The reset contract (what bit-identity across reuse requires): all
     /// job state, the active set, the wake queue including its lifetime
-    /// counters, all per-slot scratch, the cohorts, the jammer (back to
-    /// [`Jammer::none`]; install the trial's adversary after the reset),
-    /// and the seed sequence. Nothing else in the engine carries state
-    /// between runs.
+    /// counters, all per-slot scratch, the aggregate owners, the jammer
+    /// (back to [`Jammer::none`]; install the trial's adversary after the
+    /// reset), and the seed sequence. Nothing else in the engine carries
+    /// state between runs.
     pub fn reset(&mut self, seed: u64) {
         self.seeds = SeedSeq::new(seed);
         self.jammer = Jammer::none();
@@ -1141,10 +886,8 @@ impl Engine {
             .slot
     }
 
-    /// Prologue of a run: consume the job set and build the slot loop's
-    /// carried state, paused before slot 0. Split out of the historically
-    /// monolithic `run` so checkpoint/branch replay can stop and resume at
-    /// slot boundaries.
+    /// Prologue of a run: consume the job set, prepare the owners, and
+    /// build the slot loop's carried state, paused before slot 0.
     fn begin(&mut self) {
         assert!(
             !self.ran,
@@ -1175,10 +918,14 @@ impl Engine {
 
         self.active.clear();
         self.scratch.clear();
-        if self.config.fidelity == Fidelity::Vectorized {
-            self.kernel
-                .prepare(self.jobs.len(), self.config.kernel_shards);
-        }
+        self.kernel.prepare(self.jobs.len());
+        // Cohort draws come from their own stream so the exact path's
+        // per-job streams stay untouched by the fidelity.
+        self.cohorts.prepare(
+            (self.config.fidelity == Fidelity::Cohort)
+                .then(|| self.seeds.rng(StreamLabel::Cohort, 0)),
+        );
+        self.duty.prepare(self.jobs.len());
         // All observability flows through the probe bus. The legacy
         // `record_trace` flag is a `VecSink` attached first, so its output
         // is bit-identical to the old unconditional trace Vec.
@@ -1191,1018 +938,674 @@ impl Engine {
                 bus.push(sink.build());
             }
         }
-        let cohort_rng = (self.config.fidelity == Fidelity::Cohort)
-            .then(|| self.seeds.rng(StreamLabel::Cohort, 0));
-
-        // Per-job duty bookkeeping arrays (empty groups; sized to the run).
-        self.duty.prepare(self.jobs.len());
 
         self.run_state = Some(RunState {
             max_slots,
             next_pending: 0,
             counts: SlotCounts::default(),
+            wants_slots: bus.wants_slots(),
+            probed: bus.wants_events(),
             bus,
             sched_stats: SchedStats::default(),
             contention_sum: 0.0,
             jam_rng: self.seeds.rng(StreamLabel::Jammer, 0),
-            cohort_rng,
             slot: 0,
             base_slot: 0,
             engine_nanos: 0,
             done: false,
+            aligned: self.config.expose_aligned_clock,
+            strikes_idle: false,
         });
     }
 
     /// Execute slots until the first boundary at or after `pause_at`, or
-    /// the run's natural end, whichever comes first. The slot loop body is
-    /// the historical `run` loop, verbatim; only the state it carries
-    /// between slots now lives in [`RunState`] across calls.
+    /// the run's natural end, whichever comes first. Each slot is the
+    /// fixed sequence of stages in the [module docs](self).
     fn step_until(&mut self, pause_at: u64) {
-        let st = self.run_state.take().expect("step_until requires begin");
+        let mut st = self.run_state.take().expect("step_until requires begin");
         if st.done {
             self.run_state = Some(st);
             return;
         }
-        let RunState {
-            max_slots,
-            mut next_pending,
-            mut counts,
-            mut bus,
-            mut sched_stats,
-            mut contention_sum,
-            mut jam_rng,
-            mut cohort_rng,
-            mut slot,
-            base_slot,
-            engine_nanos,
-            done: _,
-        } = st;
         let started = std::time::Instant::now();
-        let event_driven = self.config.scheduling == Scheduling::EventDriven;
-        let cohort_mode = self.config.fidelity == Fidelity::Cohort;
-        let vector_mode = self.config.fidelity == Fidelity::Vectorized;
-        let aligned_clock = self.config.expose_aligned_clock;
-        // An adversary that can strike silent slots draws randomness every
-        // slot, so all-parked stretches cannot be skipped without
-        // desynchronizing (and silencing) it; such slots run one by one.
-        // This keys off the `Adversary` trait's declaration, not any
-        // concrete policy, so new idle-striking adversaries gate correctly.
-        // Recomputed on every resume because a branched replay may have
-        // swapped the adversary at the pause boundary.
-        let jammer_strikes_idle = self.jammer.strikes_idle();
-        let wants_slots = bus.wants_slots();
-        let probed = bus.wants_events();
+        st.strikes_idle = self.jammer.strikes_idle();
         let mut paused = false;
-        while slot < max_slots {
-            if slot >= pause_at {
+        while st.slot < st.max_slots {
+            if st.slot >= pause_at {
                 paused = true;
                 break;
             }
             // Retire kernel state whose deadline arrived (outcomes settle
             // to Missed in the end-of-run sweep, as on the exact path).
-            if vector_mode {
-                self.kernel.expire(slot);
-            }
-            // Nothing live and nothing pending: the channel is idle forever.
-            // Wake-queue entries that are stale duty backstops (their job
-            // already retired) don't count as live.
-            if self.active.is_empty()
-                && self.parked.len() as u64 == self.duty.dead_backstops
-                && self.cohorts.total == 0
-                && self.classes.total == 0
-                && self.kernel.pending() == 0
-                && next_pending == self.by_release.len()
-            {
+            self.kernel.expire(st.slot);
+            if self.all_dead(&st) || !self.skip_gap(&mut st) {
                 break;
             }
-            // Fast-forward through stretches where no job needs polling:
-            // idle gaps between arrival bursts, and stretches where every
-            // live job is parked. The skipped slots really are silent, so
-            // they stay accounted (and traced, when tracing, as a single
-            // run-length record): `counts.total()` always equals the number
-            // of slots the run covered. Cohorts block the skip: a live
-            // cohort draws randomness (and can transmit) every slot — and
-            // so does a live aggregate class.
-            if self.active.is_empty()
-                && self.cohorts.total == 0
-                && self.classes.total == 0
-                && self.kernel.bern_live() == 0
-                && ((self.parked.len() as u64 == self.duty.dead_backstops
-                    && self.kernel.pending() == 0)
-                    || !jammer_strikes_idle)
-            {
-                let mut next_event = u64::MAX;
-                if next_pending < self.by_release.len() {
-                    next_event = self.jobs.specs[self.by_release[next_pending] as usize].release;
-                }
-                if let Some(wake) = self.parked.next_wake() {
-                    next_event = next_event.min(wake);
-                }
-                if let Some(tx) = self.kernel.next_tx() {
-                    next_event = next_event.min(tx);
-                }
-                if let Some(expiry) = self.kernel.next_expiry() {
-                    // A pending (fired-but-undelivered) one-shot holds the
-                    // run open to its deadline, exactly as the exact path's
-                    // parked job does; the skip must land there, not at the
-                    // horizon.
-                    next_event = next_event.min(expiry);
-                }
-                if self.duty.total > 0 {
-                    // Duty groups break the gap at their next wake or
-                    // standing-transmission slot (which may be `slot`
-                    // itself, suppressing the skip).
-                    next_event = next_event.min(self.duty.next_event(slot));
-                }
-                if next_event > slot {
-                    let until = next_event.min(max_slots);
-                    let gap = until - slot;
-                    counts.silent += gap;
-                    sched_stats.gap_skips += 1;
-                    sched_stats.gap_slots += gap;
-                    // Stateful adversaries observe the skipped silence in
-                    // bulk (contract: identical to per-slot rejections).
-                    self.jammer.on_silent_gap(gap);
-                    if wants_slots {
-                        bus.on_slot(&SlotRecord {
-                            slot,
-                            outcome: if gap == 1 {
-                                SlotOutcome::Silent
-                            } else {
-                                SlotOutcome::SilentGap { len: gap }
-                            },
-                            live_jobs: (self.parked.len() as u64 - self.duty.dead_backstops
-                                + self.kernel.pending() as u64)
-                                as u32,
-                            declared_contention: 0.0,
-                            payload: None,
-                        });
-                    }
-                    if probed {
-                        bus.on_event(&ProbeRecord {
-                            slot,
-                            job: None,
-                            event: ProbeEvent::GapSkip { len: gap },
-                        });
-                        bus.on_event(&ProbeRecord {
-                            slot,
-                            job: None,
-                            event: ProbeEvent::WakeQueueStats {
-                                parked: self.parked.len() as u32,
-                            },
-                        });
-                    }
-                    slot = until;
-                    if slot == max_slots {
-                        break;
-                    }
-                }
+            self.wake(st.slot);
+            self.activate(&mut st);
+            self.collect_actions(&st);
+            self.draw_aggregates(&st);
+            let (feedback, delivered) = self.resolve(&mut st);
+            self.deliver(st.slot, delivered);
+            self.feedback_active(&st, &feedback);
+            self.feedback_duty(&st, &feedback);
+            self.fan_out_listens(&st, &feedback);
+            self.settle_classes(st.slot, &feedback);
+            if st.probed {
+                self.drain_probes(&mut st);
             }
-
-            // 0. Wake parked jobs whose slot arrived. Entries for jobs in
-            // the duty layer are deadline backstops: a live member leaves
-            // the layer here (settling its standing-transmission count) and
-            // runs its final stretch as a plain active job; a member that
-            // retired early left a stale entry, discarded on arrival.
-            let first_woken = self.active.len();
-            self.parked.pop_due(slot, &mut self.active);
-            if event_driven && (self.duty.total > 0 || self.duty.dead_backstops > 0) {
-                let mut i = first_woken;
-                while i < self.active.len() {
-                    let idx = self.active[i] as usize;
-                    if self.jobs.outcomes[idx].is_some() {
-                        self.duty.dead_backstops -= 1;
-                        self.active.swap_remove(i);
-                        continue;
-                    }
-                    if let Some((tx, li)) = self.duty.deregister(idx, slot) {
-                        self.jobs.accesses[idx].transmissions += tx;
-                        self.jobs.accesses[idx].listens += li;
-                    }
-                    i += 1;
-                }
-            }
-
-            // 1. Activate arrivals.
-            while next_pending < self.by_release.len()
-                && self.jobs.specs[self.by_release[next_pending] as usize].release == slot
-            {
-                let idx = self.by_release[next_pending];
-                next_pending += 1;
-                let spec = self.jobs.specs[idx as usize];
-                let ctx = JobCtx {
-                    id: spec.id,
-                    window: spec.window(),
-                    local_time: 0,
-                    aligned_time: aligned_clock.then_some(slot),
-                    probed,
-                };
-                if cohort_mode {
-                    let routed = match self.jobs.protocols[idx as usize].cohort_tx(&ctx) {
-                        // Phase-synchronized class: route to the shared
-                        // driver for (tag, release, deadline), opening it
-                        // at the first member's activation. A protocol
-                        // that declines to supply a driver falls through
-                        // to the exact per-job path.
-                        Some(CohortTx::Class { tag }) => self.admit_class(tag, &spec, &ctx),
-                        Some(profile) => {
-                            // Aggregate-managed: never polled, never called
-                            // back.
-                            self.cohorts.insert(profile, spec.deadline, idx);
-                            true
-                        }
-                        None => false,
-                    };
-                    if routed {
-                        continue;
-                    }
-                }
-                if vector_mode {
-                    if let Some(profile) = self.jobs.protocols[idx as usize].cohort_tx(&ctx) {
-                        // Kernel-managed: the profile's bit-level draw
-                        // schedule (see [`CohortTx`]) lets the kernel make
-                        // the job's draws itself, so the protocol is never
-                        // polled or called back — unobservably, since such
-                        // protocols have no observable callback effects.
-                        let key = self.jobs.keys[idx as usize];
-                        match profile {
-                            CohortTx::Constant { p } => {
-                                self.kernel.insert_bern(idx, key, p, spec.deadline);
-                            }
-                            CohortTx::OneShot => {
-                                self.kernel.insert_shot(
-                                    idx,
-                                    key,
-                                    spec.release,
-                                    spec.window(),
-                                    spec.deadline,
-                                );
-                            }
-                            CohortTx::Class { .. } => {
-                                // Class aggregates are a cohort-fidelity
-                                // construct; the kernel's bit-identity
-                                // contract does not cover them, so such jobs
-                                // stay on the exact per-job path here.
-                                let mut rng = CounterRng::new(
-                                    self.jobs.keys[idx as usize],
-                                    slot,
-                                    Phase::Activate,
-                                );
-                                self.jobs.protocols[idx as usize].on_activate(&ctx, &mut rng);
-                                self.active.push(idx);
-                            }
-                        }
-                        continue;
-                    }
-                }
-                let mut rng = CounterRng::new(self.jobs.keys[idx as usize], slot, Phase::Activate);
-                self.jobs.protocols[idx as usize].on_activate(&ctx, &mut rng);
-                self.active.push(idx);
-            }
-
-            // 2. Collect actions. The polled set is the active set (in
-            // order) plus the members of every duty group with a wake bit
-            // at this slot's position; duty groups with a *tx* bit here
-            // contribute standing transmissions in aggregate instead —
-            // per-member counters are settled lazily at deregistration.
-            // `tx_probability` is purely diagnostic, so its virtual call
-            // (and the contention sum) is skipped when no trace records it.
-            self.scratch.transmitters.clear();
-            self.scratch.polled.clear();
-            self.scratch.codes.clear();
-            self.scratch.ctxs.clear();
-            self.scratch.listen_groups.clear();
-            self.scratch.polled.extend_from_slice(&self.active);
-            let recording = wants_slots;
-            let mut declared_contention = 0.0f64;
-            let mut standing_n: u64 = 0;
-            let mut standing_single: Option<(u32, Payload)> = None;
-            if event_driven && self.duty.total > 0 {
-                // Groups usually share one period: memoize `slot % period`
-                // so the scan performs a single division per slot.
-                let mut memo = (0u64, 0u64);
-                for (gi, g) in self.duty.groups.iter().enumerate() {
-                    if g.members.is_empty() {
-                        continue;
-                    }
-                    let period = u64::from(g.period);
-                    if memo.0 != period {
-                        memo = (period, slot % period);
-                    }
-                    let mut pos = memo.1 + period - u64::from(g.anchor_mod);
-                    if pos >= period {
-                        pos -= period;
-                    }
-                    if g.wake_mask >> pos & 1 != 0 {
-                        self.scratch.polled.extend_from_slice(&g.members);
-                    }
-                    if g.listen_mask >> pos & 1 != 0 {
-                        self.scratch.listen_groups.push(gi as u32);
-                    }
-                    if g.tx_mask >> pos & 1 != 0 {
-                        standing_n += g.members.len() as u64;
-                        standing_single = if standing_n == 1 {
-                            Some((g.members[0], g.payload))
-                        } else {
-                            None
-                        };
-                        if recording {
-                            // Standing slots transmit with probability 1.
-                            declared_contention += g.members.len() as f64;
-                        }
-                    }
-                }
-            }
-            let visited_start = self.active.len();
-            for k in 0..self.scratch.polled.len() {
-                let idx = self.scratch.polled[k] as usize;
-                let spec = self.jobs.specs[idx];
-                let ctx = JobCtx {
-                    id: spec.id,
-                    window: spec.window(),
-                    local_time: slot - spec.release,
-                    aligned_time: aligned_clock.then_some(slot),
-                    probed,
-                };
-                self.scratch.ctxs.push(ctx);
-                let mut rng = CounterRng::new(self.jobs.keys[idx], slot, Phase::Act);
-                let action = self.jobs.protocols[idx].act(&ctx, &mut rng);
-                let declared = if recording {
-                    self.jobs.protocols[idx].tx_probability(&ctx)
-                } else {
-                    None
-                };
-                match action {
-                    Action::Transmit(payload) => {
-                        if recording {
-                            declared_contention += declared.unwrap_or(1.0);
-                        }
-                        self.jobs.accesses[idx].transmissions += 1;
-                        self.scratch.transmitters.push((idx as u32, payload));
-                        // Transmitters also observe the slot (they learn
-                        // whether their own broadcast succeeded).
-                        self.scratch.codes.push(CODE_TX);
-                    }
-                    Action::Listen => {
-                        if recording {
-                            declared_contention += declared.unwrap_or(0.0);
-                        }
-                        self.jobs.accesses[idx].listens += 1;
-                        self.scratch.codes.push(CODE_LISTEN);
-                    }
-                    Action::Sleep => {
-                        if recording {
-                            declared_contention += declared.unwrap_or(0.0);
-                        }
-                        self.scratch.codes.push(CODE_SLEEP);
-                    }
-                }
-            }
-
-            // 2b. Cohort draws: one binomial per cohort decides how many
-            // members transmit this slot; individuals stay anonymous unless
-            // the slot resolves to a single transmission.
-            self.scratch.cohort_hits.clear();
-            let mut cohort_tx: u64 = 0;
-            if let Some(rng) = cohort_rng.as_mut() {
-                for (c_idx, cohort) in self.cohorts.cohorts.iter().enumerate() {
-                    let (m, p) = match cohort.model {
-                        CohortModel::Constant { .. } => (cohort.members.len() as u64, cohort.p),
-                        // One-shot hazard among not-yet-attempted members;
-                        // live cohorts always have slot < deadline, and at
-                        // deadline − 1 the hazard reaches 1 (everyone left
-                        // must attempt now or never).
-                        CohortModel::OneShot => {
-                            (cohort.fresh as u64, 1.0 / (cohort.deadline - slot) as f64)
-                        }
-                    };
-                    let t = sample_binomial(m, p, rng);
-                    if t > 0 {
-                        self.scratch.cohort_hits.push((c_idx as u32, t));
-                        cohort_tx += t;
-                    }
-                    if recording {
-                        declared_contention += m as f64 * p;
-                    }
-                }
-            }
-
-            // 2b'. Aggregate-class draws: each live class's shared state
-            // machine decides its transmitter count for this slot (one exact
-            // binomial on sampled steps, a deterministic count on broadcast
-            // steps, zero on listen steps). Individuals stay anonymous
-            // unless the slot resolves to a single transmission.
-            let mut class_tx: u64 = 0;
-            if cohort_mode {
-                for entry in &mut self.classes.entries {
-                    let decl = entry.driver.begin_slot(slot);
-                    entry.count = decl.count;
-                    class_tx += decl.count;
-                    if recording {
-                        declared_contention += decl.declared;
-                    }
-                }
-            }
-
-            // 2c. Vectorized kernel: batched Bernoulli draws over the
-            // probability buckets plus due one-shot calendar entries.
-            // Each transmitter joins the slot exactly as an exact-path
-            // `Action::Transmit` would (the draws are bit-identical; see
-            // `crate::kernel`); kernel jobs are never polled, so they take
-            // no feedback and appear in no `codes`.
-            if vector_mode {
-                self.scratch.kernel_tx.clear();
-                self.kernel.collect(slot, &mut self.scratch.kernel_tx);
-                for &idx in &self.scratch.kernel_tx {
-                    self.jobs.accesses[idx as usize].transmissions += 1;
-                    self.scratch
-                        .transmitters
-                        .push((idx, Payload::Data(self.jobs.specs[idx as usize].id)));
-                }
-                if recording {
-                    // Bucketed jobs declare `p` whether they transmit or
-                    // sleep; one-shots declare nothing while parked (the
-                    // exact path's parked jobs are not polled either).
-                    declared_contention += self.kernel.declared();
-                }
-            }
-
-            // 3. Resolve the channel and give the adversary its shot.
-            let n_tx = self.scratch.transmitters.len()
-                + cohort_tx as usize
-                + class_tx as usize
-                + standing_n as usize;
-            // A lone cohort transmission materializes one member: position
-            // in its cohort's member list, chosen uniformly (members are
-            // exchangeable).
-            let mut cohort_winner: Option<(usize, usize)> = None;
-            let view = match n_tx {
-                0 => SlotView::Silent,
-                1 => {
-                    if let Some(&(idx, payload)) = self.scratch.transmitters.first() {
-                        SlotView::Single {
-                            src: self.jobs.specs[idx as usize].id,
-                            payload,
-                        }
-                    } else if let Some((member, payload)) = standing_single {
-                        // The slot's only transmission is one job's standing
-                        // duty broadcast (its transmission counter is covered
-                        // by the lazy per-member accounting).
-                        SlotView::Single {
-                            src: self.jobs.specs[member as usize].id,
-                            payload,
-                        }
-                    } else if class_tx == 1 {
-                        // A lone aggregate-class transmission: the class
-                        // materializes the member (and payload) that goes on
-                        // the channel, making the slot's `src` concrete.
-                        let entry = self
-                            .classes
-                            .entries
-                            .iter_mut()
-                            .find(|e| e.count == 1)
-                            .expect("class_tx == 1 implies a class with count 1");
-                        let (member, payload) = entry.driver.materialize(slot);
-                        self.jobs.accesses[member as usize].transmissions += 1;
-                        SlotView::Single {
-                            src: self.jobs.specs[member as usize].id,
-                            payload,
-                        }
-                    } else {
-                        let (c_idx, _) = self.scratch.cohort_hits[0];
-                        let cohort = &self.cohorts.cohorts[c_idx as usize];
-                        let rng = cohort_rng.as_mut().expect("cohort hit implies cohort mode");
-                        // One-shot attempts come from the fresh prefix only.
-                        let pool = match cohort.model {
-                            CohortModel::Constant { .. } => cohort.members.len(),
-                            CohortModel::OneShot => cohort.fresh,
-                        };
-                        let pos = rng.gen_range(0..pool);
-                        let member = cohort.members[pos] as usize;
-                        self.jobs.accesses[member].transmissions += 1;
-                        cohort_winner = Some((c_idx as usize, pos));
-                        SlotView::Single {
-                            src: self.jobs.specs[member].id,
-                            payload: Payload::Data(self.jobs.specs[member].id),
-                        }
-                    }
-                }
-                _ => {
-                    // Collision: charge each hit cohort's transmission count
-                    // to distinct members (partial Fisher–Yates; order in
-                    // the member list is meaningless).
-                    if let Some(rng) = cohort_rng.as_mut() {
-                        for &(c_idx, t) in &self.scratch.cohort_hits {
-                            let cohort = &mut self.cohorts.cohorts[c_idx as usize];
-                            match cohort.model {
-                                CohortModel::Constant { .. } => {
-                                    let members = &mut cohort.members;
-                                    let t = (t as usize).min(members.len());
-                                    for i in 0..t {
-                                        let j = rng.gen_range(i..members.len());
-                                        members.swap(i, j);
-                                        self.jobs.accesses[members[i] as usize].transmissions += 1;
-                                    }
-                                }
-                                CohortModel::OneShot => {
-                                    // Draw the attempters from the fresh
-                                    // prefix, parking each at its end so the
-                                    // prefix shrinks over the spent ones.
-                                    let t = (t as usize).min(cohort.fresh);
-                                    for i in 0..t {
-                                        let lim = cohort.fresh - i;
-                                        let j = rng.gen_range(0..lim);
-                                        cohort.members.swap(j, lim - 1);
-                                        self.jobs.accesses[cohort.members[lim - 1] as usize]
-                                            .transmissions += 1;
-                                    }
-                                    cohort.fresh -= t;
-                                }
-                            }
-                        }
-                    }
-                    SlotView::Collision { n_tx }
-                }
-            };
-            let jammed = self.jammer.jams(view, &mut jam_rng);
-
-            let feedback = if jammed {
-                Feedback::Noise
-            } else {
-                match view {
-                    SlotView::Silent => Feedback::Silent,
-                    SlotView::Single { src, payload } => Feedback::Success { src, payload },
-                    SlotView::Collision { .. } => Feedback::Noise,
-                }
-            };
-
-            // 4. Account the slot.
-            let mut delivered_data: Option<JobId> = None;
-            match (jammed, n_tx) {
-                (true, _) => counts.jammed += 1,
-                (false, 0) => counts.silent += 1,
-                (false, 1) => {
-                    counts.success += 1;
-                    if let SlotView::Single { src, payload } = view {
-                        if payload.data_owner() == Some(src) || cohort_winner.is_some() {
-                            counts.data_success += 1;
-                            delivered_data = Some(src);
-                        } else if let Some(owner) = payload.data_owner() {
-                            counts.data_success += 1;
-                            delivered_data = Some(owner);
-                        }
-                    }
-                }
-                (false, _) => counts.collision += 1,
-            }
-
-            if wants_slots {
-                let outcome = if jammed {
-                    SlotOutcome::Jammed { n_tx: n_tx as u32 }
-                } else {
-                    match view {
-                        SlotView::Silent => SlotOutcome::Silent,
-                        SlotView::Single { src, payload } => SlotOutcome::Success {
-                            src,
-                            was_data: payload.is_data(),
-                        },
-                        SlotView::Collision { n_tx } => {
-                            SlotOutcome::Collision { n_tx: n_tx as u32 }
-                        }
-                    }
-                };
-                bus.on_slot(&SlotRecord {
-                    slot,
-                    outcome,
-                    // Duty members are counted through their deadline
-                    // backstops in the wake queue (exactly one per member);
-                    // stale backstops of retired members are discounted.
-                    live_jobs: (self.active.len()
-                        + self.parked.len()
-                        + self.cohorts.total
-                        + self.classes.total
-                        + self.kernel.pending()) as u32
-                        - self.duty.dead_backstops as u32,
-                    declared_contention,
-                    payload: feedback.payload().copied(),
-                });
-            }
-            if recording {
-                contention_sum += declared_contention;
-            }
-
-            // 5. Record delivery, then run the fused feedback / retirement /
-            // rescheduling pass: one ctx build per polled job instead of
-            // three. Feedback lands in polled order, which is exactly the
-            // old listener order.
-            if let Some(owner) = delivered_data {
-                // First delivery inside the window wins; protocols built in
-                // this workspace never transmit data outside their window
-                // (the engine retires them at the deadline), so `slot` is
-                // necessarily inside it.
-                let outcome = &mut self.jobs.outcomes[owner as usize];
-                if outcome.is_none() {
-                    *outcome = Some(JobOutcome::Success { slot });
-                }
-                // A delivered kernel-managed job leaves the kernel
-                // immediately (its Bernoulli lane dies / its calendar
-                // deadline count drops).
-                if vector_mode && self.kernel.is_managed(owner as usize) {
-                    self.kernel
-                        .on_delivery(owner as usize, self.jobs.specs[owner as usize].deadline);
-                }
-                // A delivered cohort member leaves its cohort immediately.
-                if let Some((c_idx, pos)) = cohort_winner {
-                    let cohort = &mut self.cohorts.cohorts[c_idx];
-                    match cohort.model {
-                        CohortModel::Constant { .. } => {
-                            cohort.members.swap_remove(pos);
-                        }
-                        CohortModel::OneShot => {
-                            // Remove without pulling a spent member into
-                            // the fresh prefix: retire via its end.
-                            cohort.members.swap(pos, cohort.fresh - 1);
-                            cohort.members.swap_remove(cohort.fresh - 1);
-                            cohort.fresh -= 1;
-                        }
-                    }
-                    self.cohorts.total -= 1;
-                }
-            } else if let Some((c_idx, pos)) = cohort_winner {
-                // The lone cohort transmission was jammed. A memoryless
-                // member just retries; a one-shot member has spent its
-                // attempt and moves behind the fresh prefix.
-                let cohort = &mut self.cohorts.cohorts[c_idx];
-                if cohort.model == CohortModel::OneShot {
-                    cohort.members.swap(pos, cohort.fresh - 1);
-                    cohort.fresh -= 1;
-                }
-            }
-            // Active part: `polled[..visited_start]` mirrors `active`, and
-            // removals keep `codes` aligned by mirroring the swap.
-            let mut k = 0;
-            while k < self.active.len() {
-                let idx = self.active[k] as usize;
-                let code = self.scratch.codes[k];
-                let spec = self.jobs.specs[idx];
-                let ctx = self.scratch.ctxs[k];
-                if code != CODE_SLEEP {
-                    let mut rng = CounterRng::new(self.jobs.keys[idx], slot, Phase::Feedback);
-                    self.jobs.protocols[idx].on_feedback(&ctx, &feedback, &mut rng);
-                }
-                let window_over = slot + 1 >= spec.deadline;
-                let finished = self.jobs.outcomes[idx].is_some()
-                    || self.jobs.protocols[idx].is_done()
-                    || window_over;
-                if finished {
-                    if self.jobs.outcomes[idx].is_none() {
-                        self.jobs.outcomes[idx] = Some(JobOutcome::Missed);
-                    }
-                    let last = self.active.len() - 1;
-                    self.active.swap_remove(k);
-                    self.scratch.codes.swap(k, last);
-                    self.scratch.ctxs.swap(k, last);
-                    continue;
-                }
-                if event_driven {
-                    if let Some(dc) = self.jobs.protocols[idx].duty_cycle(&ctx) {
-                        self.duty.register(idx, &dc, spec.release, slot);
-                        if !self.duty.backstopped[idx] {
-                            self.duty.backstopped[idx] = true;
-                            // One wake-queue entry per job for its whole
-                            // duty-layer life: a deadline backstop that both
-                            // retires it on time and keeps it in live-job
-                            // accounting.
-                            self.parked.push(spec.deadline - 1, idx as u32);
-                        }
-                        let last = self.active.len() - 1;
-                        self.active.swap_remove(k);
-                        self.scratch.codes.swap(k, last);
-                        self.scratch.ctxs.swap(k, last);
-                        continue;
-                    }
-                    if let Some(wake_local) = self.jobs.protocols[idx].next_wake(&ctx) {
-                        // Clamp into the window so the job is awake for its
-                        // last slot and retires through the normal deadline
-                        // check, exactly as under dense polling.
-                        let wake = spec
-                            .release
-                            .saturating_add(wake_local)
-                            .min(spec.deadline - 1);
-                        if wake > slot + 1 {
-                            self.parked.push(wake, idx as u32);
-                            let last = self.active.len() - 1;
-                            self.active.swap_remove(k);
-                            self.scratch.codes.swap(k, last);
-                            self.scratch.ctxs.swap(k, last);
-                            continue;
-                        }
-                    }
-                }
-                k += 1;
-            }
-            // Visited duty members: feedback, retirement (their backstop
-            // stays behind in the wake queue), and schedule re-query — a
-            // state change moves the member between groups.
-            for v in visited_start..self.scratch.polled.len() {
-                let idx = self.scratch.polled[v] as usize;
-                let code = self.scratch.codes[v];
-                let spec = self.jobs.specs[idx];
-                let ctx = self.scratch.ctxs[v];
-                if code != CODE_SLEEP {
-                    let mut rng = CounterRng::new(self.jobs.keys[idx], slot, Phase::Feedback);
-                    self.jobs.protocols[idx].on_feedback(&ctx, &feedback, &mut rng);
-                }
-                if self.jobs.outcomes[idx].is_some() || slot + 1 >= spec.deadline {
-                    if let Some((tx, li)) = self.duty.deregister(idx, slot) {
-                        self.jobs.accesses[idx].transmissions += tx;
-                        self.jobs.accesses[idx].listens += li;
-                    }
-                    self.duty.dead_backstops += 1;
-                    if self.jobs.outcomes[idx].is_none() {
-                        self.jobs.outcomes[idx] = Some(JobOutcome::Missed);
-                    }
-                    continue;
-                }
-                match self.jobs.protocols[idx].duty_cycle(&ctx) {
-                    // Unchanged schedule (the overwhelmingly common case):
-                    // one struct compare, no division.
-                    Some(dc) if self.duty.reg_dc[idx] == Some(dc) => {}
-                    Some(dc) if self.duty.key_matches(idx, &dc, spec.release) => {
-                        self.duty.reg_dc[idx] = Some(dc);
-                    }
-                    Some(dc) => {
-                        if let Some((tx, li)) = self.duty.deregister(idx, slot) {
-                            self.jobs.accesses[idx].transmissions += tx;
-                            self.jobs.accesses[idx].listens += li;
-                        }
-                        self.duty.register(idx, &dc, spec.release, slot);
-                    }
-                    None => {
-                        // Contract: `None` from a registered job signals
-                        // completion — retire it here, sparing a separate
-                        // `is_done` virtual call on the hot path.
-                        if let Some((tx, li)) = self.duty.deregister(idx, slot) {
-                            self.jobs.accesses[idx].transmissions += tx;
-                            self.jobs.accesses[idx].listens += li;
-                        }
-                        self.duty.dead_backstops += 1;
-                        if self.jobs.outcomes[idx].is_none() {
-                            self.jobs.outcomes[idx] = Some(JobOutcome::Missed);
-                        }
-                    }
-                }
-            }
-
-            // Listen groups: one representative decides whether this slot's
-            // feedback is group-invariant. If it is, nothing happens per
-            // member (their listen counters are settled lazily, in closed
-            // form, at deregistration); if not, every member observes the
-            // feedback individually — the always-correct fallback. A slot
-            // that delivered a member's own data forces the fallback so
-            // `duty_listen` implementations never reason about delivery.
-            for li in 0..self.scratch.listen_groups.len() {
-                let gi = self.scratch.listen_groups[li] as usize;
-                if self.duty.groups[gi].members.is_empty() {
-                    continue;
-                }
-                let mut forced = false;
-                if let Feedback::Success { src, payload } = &feedback {
-                    if payload.is_data() {
-                        let owner = payload.data_owner().unwrap_or(*src) as usize;
-                        if let Some(&(g1, p)) = self.duty.where_of.get(owner) {
-                            forced = g1 as usize == gi + 1
-                                && self.duty.groups[gi].members.get(p as usize)
-                                    == Some(&(owner as u32));
-                        }
-                    }
-                }
-                // Members registered during this slot's feedback passes
-                // (`reg_slot == slot + 1`) already observed the slot on the
-                // path that brought them here: they are skipped below and
-                // cannot represent the group.
-                if !forced {
-                    let Some(&rep) = self.duty.groups[gi]
-                        .members
-                        .iter()
-                        .find(|&&m| self.duty.reg_slot[m as usize] <= slot)
-                    else {
-                        continue;
-                    };
-                    let rep = rep as usize;
-                    let spec = self.jobs.specs[rep];
-                    let ctx = JobCtx {
-                        id: spec.id,
-                        window: spec.window(),
-                        local_time: slot - spec.release,
-                        aligned_time: aligned_clock.then_some(slot),
-                        probed,
-                    };
-                    if self.jobs.protocols[rep].duty_listen(&ctx, &feedback) {
-                        continue;
-                    }
-                }
-                let mut m = 0;
-                while m < self.duty.groups[gi].members.len() {
-                    let idx = self.duty.groups[gi].members[m] as usize;
-                    if self.duty.reg_slot[idx] > slot {
-                        m += 1;
-                        continue;
-                    }
-                    let spec = self.jobs.specs[idx];
-                    let ctx = JobCtx {
-                        id: spec.id,
-                        window: spec.window(),
-                        local_time: slot - spec.release,
-                        aligned_time: aligned_clock.then_some(slot),
-                        probed,
-                    };
-                    let mut rng = CounterRng::new(self.jobs.keys[idx], slot, Phase::Feedback);
-                    self.jobs.protocols[idx].on_feedback(&ctx, &feedback, &mut rng);
-                    if probed {
-                        // The drain pass walks the polled snapshot; fanned-
-                        // out listeners may have emitted events too.
-                        self.scratch.polled.push(idx as u32);
-                    }
-                    if self.jobs.outcomes[idx].is_some() || slot + 1 >= spec.deadline {
-                        // The lazy settle covers `[reg_slot, slot)`; the
-                        // fan-out slot itself was attended, so count it.
-                        if let Some((tx, li)) = self.duty.deregister(idx, slot) {
-                            self.jobs.accesses[idx].transmissions += tx;
-                            self.jobs.accesses[idx].listens += li + 1;
-                        }
-                        self.duty.dead_backstops += 1;
-                        if self.jobs.outcomes[idx].is_none() {
-                            self.jobs.outcomes[idx] = Some(JobOutcome::Missed);
-                        }
-                        continue;
-                    }
-                    match self.jobs.protocols[idx].duty_cycle(&ctx) {
-                        Some(dc) if self.duty.reg_dc[idx] == Some(dc) => m += 1,
-                        Some(dc) if self.duty.key_matches(idx, &dc, spec.release) => {
-                            self.duty.reg_dc[idx] = Some(dc);
-                            m += 1;
-                        }
-                        Some(dc) => {
-                            if let Some((tx, li)) = self.duty.deregister(idx, slot) {
-                                self.jobs.accesses[idx].transmissions += tx;
-                                self.jobs.accesses[idx].listens += li + 1;
-                            }
-                            self.duty.register(idx, &dc, spec.release, slot);
-                            // `swap_remove` filled slot `m` with another
-                            // member: revisit the same index.
-                        }
-                        None => {
-                            // Completion signal (see `duty_cycle` contract).
-                            if let Some((tx, li)) = self.duty.deregister(idx, slot) {
-                                self.jobs.accesses[idx].transmissions += tx;
-                                self.jobs.accesses[idx].listens += li + 1;
-                            }
-                            self.duty.dead_backstops += 1;
-                            if self.jobs.outcomes[idx].is_none() {
-                                self.jobs.outcomes[idx] = Some(JobOutcome::Missed);
-                            }
-                        }
-                    }
-                }
-            }
-
-            // 5a'. Aggregate classes settle the slot: each driver observes
-            // the public feedback — exactly what a listening member sees —
-            // updates its shared state, and reports state changes that
-            // materialize members (elected leaders leaving the aggregate as
-            // exact-path jobs). Delivered members were already credited via
-            // the generic delivery path (the materialized member is the
-            // slot's `src`); the driver merely drops them from its live set.
-            if cohort_mode && !self.classes.entries.is_empty() {
-                for e_idx in 0..self.classes.entries.len() {
-                    let entry = &mut self.classes.entries[e_idx];
-                    entry
-                        .driver
-                        .end_slot(slot, &feedback, &mut self.scratch.class_outbox);
-                    entry.count = 0;
-                    let live = entry.driver.live();
-                    self.classes.total -= entry.live - live;
-                    entry.live = live;
-                    for ev in self.scratch.class_outbox.drain(..) {
-                        match ev {
-                            ClassEvent::Eject { member, protocol } => {
-                                // The replacement protocol arrives
-                                // pre-synchronized: no `on_activate`, polling
-                                // starts next slot under the member's normal
-                                // local clock.
-                                self.jobs.protocols[member as usize] = protocol;
-                                self.active.push(member);
-                            }
-                        }
-                    }
-                }
-            }
-
-            // 5b. Drain protocol-emitted probe events, stamping slot/job and
-            // enriching `SizeEstimate` with ground truth (the engine is the
-            // only component entitled to a global view). Drained in job-id
-            // order so the bus stream is independent of active-set order
-            // (parked jobs never hold pending events — they emit only from
-            // slots they attend; the polled snapshot still includes jobs
-            // that just retired or parked, whose final events must flush).
-            if probed {
-                self.scratch.probe_order.clear();
-                self.scratch
-                    .probe_order
-                    .extend_from_slice(&self.scratch.polled);
-                self.scratch.probe_order.sort_unstable();
-                for k in 0..self.scratch.probe_order.len() {
-                    let idx = self.scratch.probe_order[k] as usize;
-                    self.jobs.protocols[idx].drain_events(&mut self.event_scratch);
-                    if self.event_scratch.is_empty() {
-                        continue;
-                    }
-                    let id = self.jobs.specs[idx].id;
-                    for mut event in self.event_scratch.drain(..) {
-                        if let ProbeEvent::SizeEstimate { class, n_true, .. } = &mut event {
-                            *n_true = Self::live_class_size(&self.jobs.specs, *class, slot);
-                        }
-                        bus.on_event(&ProbeRecord {
-                            slot,
-                            job: Some(id),
-                            event,
-                        });
-                    }
-                }
-                // Class drivers emit on behalf of the whole aggregate, so
-                // their records carry no job id; entries are visited in
-                // insertion order, which is activation order — deterministic
-                // for a given instance and seed.
-                for e_idx in 0..self.classes.entries.len() {
-                    self.classes.entries[e_idx]
-                        .driver
-                        .drain_events(&mut self.event_scratch);
-                    for mut event in self.event_scratch.drain(..) {
-                        if let ProbeEvent::SizeEstimate { class, n_true, .. } = &mut event {
-                            *n_true = Self::live_class_size(&self.jobs.specs, *class, slot);
-                        }
-                        bus.on_event(&ProbeRecord {
-                            slot,
-                            job: None,
-                            event,
-                        });
-                    }
-                }
-            }
-            // Cohorts whose deadline arrived (or that emptied) dissolve;
-            // remaining members' outcomes default to Missed at the end.
-            if cohort_mode {
-                let mut c = 0;
-                while c < self.cohorts.cohorts.len() {
-                    let cohort = &self.cohorts.cohorts[c];
-                    if slot + 1 >= cohort.deadline || cohort.members.is_empty() {
-                        self.cohorts.total -= self.cohorts.cohorts[c].members.len();
-                        self.cohorts.cohorts.swap_remove(c);
-                        continue;
-                    }
-                    c += 1;
-                }
-                // Classes dissolve the same way: at their shared deadline or
-                // once every member delivered / ejected / gave up. Members
-                // still aggregated at the deadline settle to Missed in the
-                // end-of-run sweep, exactly like cohort members.
-                let mut c = 0;
-                while c < self.classes.entries.len() {
-                    let entry = &self.classes.entries[c];
-                    if slot + 1 >= entry.deadline || entry.live == 0 {
-                        self.classes.total -= entry.live;
-                        self.classes.entries.swap_remove(c);
-                        continue;
-                    }
-                    c += 1;
-                }
-            }
-
-            slot += 1;
+            self.cohorts.dissolve(st.slot);
+            self.classes.dissolve(st.slot);
+            st.slot += 1;
         }
+        st.engine_nanos += started.elapsed().as_nanos().min(u128::from(u64::MAX)) as u64;
         // A natural exit (horizon, cap, or the all-dead break) means only
         // the epilogue remains; a pause leaves the loop resumable.
-        self.run_state = Some(RunState {
-            max_slots,
-            next_pending,
-            counts,
-            bus,
-            sched_stats,
-            contention_sum,
-            jam_rng,
-            cohort_rng,
-            slot,
-            base_slot,
-            engine_nanos: engine_nanos
-                + started.elapsed().as_nanos().min(u128::from(u64::MAX)) as u64,
-            done: !paused,
-        });
+        st.done = !paused;
+        self.run_state = Some(st);
     }
 
-    /// Run any remaining slots and assemble the [`SimReport`] — the
-    /// epilogue of the historically monolithic `run`. Consumes the run
-    /// state; the engine needs an [`Engine::reset`] before another run.
+    /// Parked entries that stand for live jobs: stale duty backstops
+    /// (their job already retired) don't count.
+    fn parked_live(&self) -> u64 {
+        self.parked.len() as u64 - self.duty.dead_backstops
+    }
+
+    /// Nothing live and nothing pending: the channel is idle forever.
+    fn all_dead(&self, st: &RunState) -> bool {
+        self.active.is_empty()
+            && self.parked_live() == 0
+            && self.cohorts.live() == 0
+            && self.classes.live() == 0
+            && self.kernel.pending() == 0
+            && st.next_pending == self.by_release.len()
+    }
+
+    /// Fast-forward through stretches where no job needs polling: idle
+    /// gaps between arrival bursts, and stretches where every live job is
+    /// parked. The skipped slots really are silent, so they stay accounted
+    /// (and traced, when tracing, as a single run-length record):
+    /// `counts.total()` always equals the number of slots the run covered.
+    /// Live cohorts, classes, and Bernoulli lanes block the skip — they
+    /// draw randomness (and can transmit) every slot. Returns `false` when
+    /// the skip lands on the run's cap.
+    fn skip_gap(&mut self, st: &mut RunState) -> bool {
+        if !self.active.is_empty()
+            || self.cohorts.live() > 0
+            || self.classes.live() > 0
+            || self.kernel.bern_live() > 0
+            || (st.strikes_idle && (self.parked_live() > 0 || self.kernel.pending() > 0))
+        {
+            return true;
+        }
+        let mut next_event = u64::MAX;
+        if let Some(&idx) = self.by_release.get(st.next_pending) {
+            next_event = self.jobs.specs[idx as usize].release;
+        }
+        // A pending (fired-but-undelivered) one-shot holds the run open to
+        // its deadline, exactly as the exact path's parked job does; the
+        // skip must land there, not at the horizon.
+        for wake in [
+            self.parked.next_wake(),
+            self.kernel.next_tx(),
+            self.kernel.next_expiry(),
+        ]
+        .into_iter()
+        .flatten()
+        {
+            next_event = next_event.min(wake);
+        }
+        if self.duty.total > 0 {
+            // Duty groups break the gap at their next wake, standing
+            // transmission, or listen slot (which may be this one,
+            // suppressing the skip).
+            next_event = next_event.min(self.duty.next_event(st.slot));
+        }
+        if next_event <= st.slot {
+            return true;
+        }
+        let until = next_event.min(st.max_slots);
+        let gap = until - st.slot;
+        st.counts.silent += gap;
+        st.sched_stats.gap_skips += 1;
+        st.sched_stats.gap_slots += gap;
+        // Stateful adversaries observe the skipped silence in bulk
+        // (contract: identical to per-slot rejections).
+        self.jammer.on_silent_gap(gap);
+        if st.wants_slots {
+            st.bus.on_slot(&SlotRecord {
+                slot: st.slot,
+                outcome: if gap == 1 {
+                    SlotOutcome::Silent
+                } else {
+                    SlotOutcome::SilentGap { len: gap }
+                },
+                live_jobs: (self.parked_live() + self.kernel.pending() as u64) as u32,
+                declared_contention: 0.0,
+                payload: None,
+            });
+        }
+        if st.probed {
+            for event in [
+                ProbeEvent::GapSkip { len: gap },
+                ProbeEvent::WakeQueueStats {
+                    parked: self.parked.len() as u32,
+                },
+            ] {
+                st.bus.on_event(&ProbeRecord {
+                    slot: st.slot,
+                    job: None,
+                    event,
+                });
+            }
+        }
+        st.slot = until;
+        until < st.max_slots
+    }
+
+    /// Wake parked jobs whose slot arrived. Entries for jobs in the duty
+    /// layer are deadline backstops: a live member leaves the layer here
+    /// (settling its standing-transmission count) and runs its final
+    /// stretch as a plain active job; a member that retired early left a
+    /// stale entry, discarded on arrival.
+    fn wake(&mut self, slot: u64) {
+        let mut i = self.active.len();
+        self.parked.pop_due(slot, &mut self.active);
+        if self.duty.total == 0 && self.duty.dead_backstops == 0 {
+            return;
+        }
+        while i < self.active.len() {
+            let idx = self.active[i] as usize;
+            if self.jobs.outcomes[idx].is_some() {
+                self.duty.dead_backstops -= 1;
+                self.active.swap_remove(i);
+                continue;
+            }
+            self.duty.leave(idx, slot, &mut self.jobs.accesses[idx], 0);
+            i += 1;
+        }
+    }
+
+    /// Activate arrivals. Fidelity is matched here, once per job: an
+    /// aggregate-eligible profile ([`Protocol::cohort_tx`]) hands the job
+    /// to the owner that simulates it from now on — a cohort or class
+    /// under [`Fidelity::Cohort`], the kernel under
+    /// [`Fidelity::Vectorized`] — and such a job is never polled or called
+    /// back again. Everything else activates on the exact per-job path.
+    fn activate(&mut self, st: &mut RunState) {
+        let fidelity = self.config.fidelity;
+        while let Some(&idx) = self.by_release.get(st.next_pending) {
+            let idx = idx as usize;
+            let spec = self.jobs.specs[idx];
+            if spec.release != st.slot {
+                break;
+            }
+            st.next_pending += 1;
+            let ctx = st.ctx(&spec);
+            let protocol = &self.jobs.protocols[idx];
+            let key = self.jobs.keys[idx];
+            let profile = match fidelity {
+                Fidelity::Exact => None,
+                _ => protocol.cohort_tx(&ctx),
+            };
+            let routed = match (fidelity, profile) {
+                // A protocol that declines to supply a class driver falls
+                // through to the exact path.
+                (Fidelity::Cohort, Some(CohortTx::Class { tag })) => {
+                    self.classes
+                        .admit(tag, &spec, &ctx, protocol.as_ref(), &self.seeds)
+                }
+                (Fidelity::Cohort, Some(profile)) => {
+                    self.cohorts.insert(profile, spec.deadline, idx as u32);
+                    true
+                }
+                // The profile's bit-level draw schedule (see [`CohortTx`])
+                // lets the kernel make the job's draws itself —
+                // unobservably, since such protocols have no observable
+                // callback effects.
+                (Fidelity::Vectorized, Some(CohortTx::Constant { p })) => {
+                    self.kernel.insert_bern(idx as u32, key, p, spec.deadline);
+                    true
+                }
+                (Fidelity::Vectorized, Some(CohortTx::OneShot)) => {
+                    let (release, window) = (spec.release, spec.window());
+                    self.kernel
+                        .insert_shot(idx as u32, key, release, window, spec.deadline);
+                    true
+                }
+                // Class aggregates are a cohort-fidelity construct: the
+                // kernel's bit-identity contract does not cover them.
+                _ => false,
+            };
+            if !routed {
+                let mut rng = CounterRng::new(key, st.slot, Phase::Activate);
+                self.jobs.protocols[idx].on_activate(&ctx, &mut rng);
+                self.active.push(idx as u32);
+            }
+        }
+    }
+
+    /// Collect actions. The polled set is the active set (in order) plus
+    /// the members of every duty group with a wake bit at this slot's
+    /// position; duty groups with a *tx* bit here contribute standing
+    /// transmissions in aggregate instead, and groups with a listen bit
+    /// are noted for [`Engine::fan_out_listens`]. `tx_probability` is
+    /// purely diagnostic, so its virtual call is skipped when no trace
+    /// records it.
+    fn collect_actions(&mut self, st: &RunState) {
+        let (slot, recording) = (st.slot, st.wants_slots);
+        let sc = &mut self.scratch;
+        sc.clear();
+        sc.polled.extend_from_slice(&self.active);
+        sc.duty_from = self.active.len();
+        sc.declared = 0.0;
+        sc.standing = 0;
+        sc.standing_single = None;
+        let mut memo = (0, 0);
+        for (gi, g) in self.duty.groups.iter().enumerate() {
+            if g.members.is_empty() {
+                continue;
+            }
+            let pos = g.position(slot, &mut memo);
+            if g.wake_mask >> pos & 1 != 0 {
+                sc.polled.extend_from_slice(&g.members);
+            }
+            if g.listen_mask >> pos & 1 != 0 {
+                sc.listen_groups.push(gi as u32);
+            }
+            if g.tx_mask >> pos & 1 != 0 {
+                sc.standing += g.members.len() as u64;
+                sc.standing_single = (sc.standing == 1).then(|| (g.members[0], g.payload));
+                // Standing slots transmit with probability 1.
+                sc.declared += g.members.len() as f64;
+            }
+        }
+        for k in 0..sc.polled.len() {
+            let idx = sc.polled[k] as usize;
+            let ctx = st.ctx(&self.jobs.specs[idx]);
+            sc.ctxs.push(ctx);
+            let mut rng = CounterRng::new(self.jobs.keys[idx], slot, Phase::Act);
+            let protocol = &mut self.jobs.protocols[idx];
+            let action = protocol.act(&ctx, &mut rng);
+            let declared = if recording {
+                protocol.tx_probability(&ctx)
+            } else {
+                None
+            };
+            let (code, default_p) = match action {
+                Action::Transmit(payload) => {
+                    self.jobs.accesses[idx].transmissions += 1;
+                    sc.transmitters.push((idx as u32, payload));
+                    // Transmitters also observe the slot (they learn
+                    // whether their own broadcast succeeded).
+                    (CODE_TX, 1.0)
+                }
+                Action::Listen => {
+                    self.jobs.accesses[idx].listens += 1;
+                    (CODE_LISTEN, 0.0)
+                }
+                Action::Sleep => (CODE_SLEEP, 0.0),
+            };
+            sc.codes.push(code);
+            if recording {
+                sc.declared += declared.unwrap_or(default_p);
+            }
+        }
+    }
+
+    /// Aggregate draws: each owner's transmitter count for this slot.
+    /// Cohort and class members stay anonymous unless the slot resolves to
+    /// a single transmission; kernel transmitters join the slot exactly as
+    /// an exact-path [`Action::Transmit`] would (the draws are
+    /// bit-identical; see [`crate::kernel`]), but are never polled, so
+    /// they take no feedback and appear in no `codes`.
+    fn draw_aggregates(&mut self, st: &RunState) {
+        let sc = &mut self.scratch;
+        sc.cohort_tx = self.cohorts.draw(st.slot, &mut sc.declared);
+        sc.class_tx = self.classes.begin_slot(st.slot, &mut sc.declared);
+        self.kernel.collect(st.slot, &mut sc.kernel_tx);
+        for &idx in &sc.kernel_tx {
+            self.jobs.accesses[idx as usize].transmissions += 1;
+            let id = self.jobs.specs[idx as usize].id;
+            sc.transmitters.push((idx, Payload::Data(id)));
+        }
+        if st.wants_slots {
+            // Bucketed jobs declare `p` whether they transmit or sleep;
+            // one-shots declare nothing while pending (the exact path's
+            // parked jobs are not polled either).
+            sc.declared += self.kernel.declared();
+        }
+    }
+
+    /// Resolve the channel, give the adversary its shot, and account the
+    /// slot. A lone aggregate transmission first materializes its member
+    /// (so the slot's `src` is concrete); a collision charges the cohorts'
+    /// counts to distinct members. Returns the slot's feedback and the job
+    /// whose data message it delivered, if any.
+    fn resolve(&mut self, st: &mut RunState) -> (Feedback, Option<JobId>) {
+        let sc = &self.scratch;
+        let n_tx = sc.transmitters.len() + (sc.standing + sc.cohort_tx + sc.class_tx) as usize;
+        let view = match n_tx {
+            0 => SlotView::Silent,
+            1 => {
+                // A lone standing duty broadcast is covered by its member's
+                // lazy accounting; a lone aggregate member is charged here.
+                let (idx, payload) = match (sc.transmitters.first(), sc.standing_single) {
+                    (Some(&tx), _) => tx,
+                    (None, Some(standing)) => standing,
+                    (None, None) => {
+                        let (member, payload) = if sc.class_tx == 1 {
+                            self.classes.materialize(st.slot)
+                        } else {
+                            let member = self.cohorts.materialize();
+                            (member, Payload::Data(self.jobs.specs[member as usize].id))
+                        };
+                        self.jobs.accesses[member as usize].transmissions += 1;
+                        (member, payload)
+                    }
+                };
+                SlotView::Single {
+                    src: self.jobs.specs[idx as usize].id,
+                    payload,
+                }
+            }
+            _ => {
+                self.cohorts.charge(&mut self.jobs.accesses);
+                SlotView::Collision { n_tx }
+            }
+        };
+        let jammed = self.jammer.jams(view, &mut st.jam_rng);
+        let feedback = match view {
+            _ if jammed => Feedback::Noise,
+            SlotView::Silent => Feedback::Silent,
+            SlotView::Single { src, payload } => Feedback::Success { src, payload },
+            SlotView::Collision { .. } => Feedback::Noise,
+        };
+        let delivered = match feedback {
+            Feedback::Success { payload, .. } => payload.data_owner(),
+            _ => None,
+        };
+        match feedback {
+            _ if jammed => st.counts.jammed += 1,
+            Feedback::Silent => st.counts.silent += 1,
+            Feedback::Success { .. } => st.counts.success += 1,
+            Feedback::Noise => st.counts.collision += 1,
+        }
+        st.counts.data_success += u64::from(delivered.is_some());
+
+        if st.wants_slots {
+            let outcome = match view {
+                _ if jammed => SlotOutcome::Jammed { n_tx: n_tx as u32 },
+                SlotView::Silent => SlotOutcome::Silent,
+                SlotView::Single { src, payload } => SlotOutcome::Success {
+                    src,
+                    was_data: payload.is_data(),
+                },
+                SlotView::Collision { n_tx } => SlotOutcome::Collision { n_tx: n_tx as u32 },
+            };
+            st.bus.on_slot(&SlotRecord {
+                slot: st.slot,
+                outcome,
+                // Duty members are counted through their deadline
+                // backstops in the wake queue (exactly one per member);
+                // stale backstops of retired members are discounted.
+                live_jobs: (self.active.len() as u64
+                    + self.parked_live()
+                    + (self.cohorts.live() + self.classes.live() + self.kernel.pending()) as u64)
+                    as u32,
+                declared_contention: self.scratch.declared,
+                payload: feedback.payload().copied(),
+            });
+            st.contention_sum += self.scratch.declared;
+        }
+        (feedback, delivered)
+    }
+
+    /// Record a delivery: the first one inside the window wins (protocols
+    /// never transmit data outside their window — the engine retires them
+    /// at the deadline — so `slot` is necessarily inside it). A delivered
+    /// kernel job leaves the kernel, and a materialized cohort winner
+    /// leaves its cohort when delivered or spends its attempt when jammed.
+    fn deliver(&mut self, slot: u64, delivered: Option<JobId>) {
+        if let Some(owner) = delivered {
+            let owner = owner as usize;
+            self.jobs.outcomes[owner].get_or_insert(JobOutcome::Success { slot });
+            self.kernel
+                .on_delivery(owner, self.jobs.specs[owner].deadline);
+        }
+        self.cohorts.settle(delivered.is_some());
+    }
+
+    /// Feedback for the active part of the polled set, fused with
+    /// retirement and rescheduling: the job hears the slot (unless it
+    /// slept), retires when delivered, done, or out of window, and
+    /// otherwise may leave for a duty group or park until its wake hint.
+    /// `polled[..duty_from]` mirrors `active`, and removals keep `codes`
+    /// and `ctxs` aligned by mirroring the swap.
+    fn feedback_active(&mut self, st: &RunState, fb: &Feedback) {
+        let slot = st.slot;
+        let event_driven = self.config.scheduling == Scheduling::EventDriven;
+        let mut k = 0;
+        while k < self.active.len() {
+            let idx = self.active[k] as usize;
+            let spec = self.jobs.specs[idx];
+            let ctx = self.scratch.ctxs[k];
+            if self.scratch.codes[k] != CODE_SLEEP {
+                let mut rng = CounterRng::new(self.jobs.keys[idx], slot, Phase::Feedback);
+                self.jobs.protocols[idx].on_feedback(&ctx, fb, &mut rng);
+            }
+            let protocol = &self.jobs.protocols[idx];
+            let leaves = if self.jobs.outcomes[idx].is_some()
+                || protocol.is_done()
+                || slot + 1 >= spec.deadline
+            {
+                self.jobs.retire(idx);
+                true
+            } else if !event_driven {
+                false
+            } else if let Some(dc) = protocol.duty_cycle(&ctx) {
+                self.duty.register(idx, &dc, spec.release, slot);
+                if !self.duty.backstopped[idx] {
+                    self.duty.backstopped[idx] = true;
+                    // One wake-queue entry per job for its whole duty-layer
+                    // life: a deadline backstop that both retires it on time
+                    // and keeps it in live-job accounting.
+                    self.parked.push(spec.deadline - 1, idx as u32);
+                }
+                true
+            } else {
+                // Clamp into the window so the job is awake for its last
+                // slot and retires through the normal deadline check,
+                // exactly as under dense polling.
+                let wake = protocol
+                    .next_wake(&ctx)
+                    .map(|w| spec.release.saturating_add(w).min(spec.deadline - 1));
+                match wake {
+                    Some(wake) if wake > slot + 1 => {
+                        self.parked.push(wake, idx as u32);
+                        true
+                    }
+                    _ => false,
+                }
+            };
+            if leaves {
+                let last = self.active.len() - 1;
+                self.active.swap_remove(k);
+                self.scratch.codes.swap(k, last);
+                self.scratch.ctxs.swap(k, last);
+            } else {
+                k += 1;
+            }
+        }
+    }
+
+    /// Feedback for the duty members polled this slot, then retirement or
+    /// a schedule re-query (see [`Engine::requery`]). A retired member's
+    /// backstop stays behind in the wake queue.
+    fn feedback_duty(&mut self, st: &RunState, fb: &Feedback) {
+        for v in self.scratch.duty_from..self.scratch.polled.len() {
+            let idx = self.scratch.polled[v] as usize;
+            let ctx = self.scratch.ctxs[v];
+            if self.scratch.codes[v] != CODE_SLEEP {
+                let mut rng = CounterRng::new(self.jobs.keys[idx], st.slot, Phase::Feedback);
+                self.jobs.protocols[idx].on_feedback(&ctx, fb, &mut rng);
+            }
+            self.requery(idx, &ctx, st.slot, 0);
+        }
+    }
+
+    /// Listen groups: one representative decides whether this slot's
+    /// feedback is group-invariant. If it is, nothing happens per member
+    /// (listen counters are settled lazily when members leave); if not,
+    /// every member observes the feedback individually — the
+    /// always-correct fallback. A slot that delivered a member's own data
+    /// forces the fallback so `duty_listen` implementations never reason
+    /// about delivery. Members registered during this slot's feedback
+    /// passes (`reg_slot == slot + 1`) already observed the slot on the
+    /// path that brought them here: they are skipped and cannot represent
+    /// the group.
+    fn fan_out_listens(&mut self, st: &RunState, fb: &Feedback) {
+        let slot = st.slot;
+        for li in 0..self.scratch.listen_groups.len() {
+            let gi = self.scratch.listen_groups[li] as usize;
+            let members = &self.duty.groups[gi].members;
+            let forced = match fb {
+                Feedback::Success { src, payload } if payload.is_data() => {
+                    let owner = payload.data_owner().unwrap_or(*src);
+                    self.duty
+                        .where_of
+                        .get(owner as usize)
+                        .is_some_and(|&(g1, p)| {
+                            g1 as usize == gi + 1 && members.get(p as usize) == Some(&owner)
+                        })
+                }
+                _ => false,
+            };
+            if !forced {
+                let reg_slot = &self.duty.reg_slot;
+                let Some(&rep) = members.iter().find(|&&m| reg_slot[m as usize] <= slot) else {
+                    continue;
+                };
+                let ctx = st.ctx(&self.jobs.specs[rep as usize]);
+                if self.jobs.protocols[rep as usize].duty_listen(&ctx, fb) {
+                    continue;
+                }
+            }
+            let mut m = 0;
+            while let Some(&idx) = self.duty.groups[gi].members.get(m) {
+                let idx = idx as usize;
+                if self.duty.reg_slot[idx] > slot {
+                    m += 1;
+                    continue;
+                }
+                let ctx = st.ctx(&self.jobs.specs[idx]);
+                let mut rng = CounterRng::new(self.jobs.keys[idx], slot, Phase::Feedback);
+                self.jobs.protocols[idx].on_feedback(&ctx, fb, &mut rng);
+                if st.probed {
+                    // The drain pass walks the polled snapshot; fanned-out
+                    // listeners may have emitted events too.
+                    self.scratch.polled.push(idx as u32);
+                }
+                // A member that left its group was replaced at `m` by
+                // `swap_remove`: revisit the same index.
+                if self.requery(idx, &ctx, slot, 1) {
+                    m += 1;
+                }
+            }
+        }
+    }
+
+    /// Duty member `idx` observed the slot under `ctx`: retire it on
+    /// delivery or at its deadline, else re-query its schedule. An
+    /// unchanged schedule keeps its place, a changed one moves it to
+    /// another group, and `None` — the completion signal (see
+    /// [`Protocol::duty_cycle`]) — retires it. `attended` counts a fan-out
+    /// listen the lazy settle does not cover. Returns `true` when the
+    /// member kept its place in its group.
+    fn requery(&mut self, idx: usize, ctx: &JobCtx, slot: u64, attended: u64) -> bool {
+        let spec = self.jobs.specs[idx];
+        let dc = if self.jobs.outcomes[idx].is_some() || slot + 1 >= spec.deadline {
+            None
+        } else {
+            self.jobs.protocols[idx].duty_cycle(ctx)
+        };
+        match dc {
+            // Unchanged schedule (the overwhelmingly common case): one
+            // struct compare, no division.
+            Some(dc) if self.duty.reg_dc[idx] == Some(dc) => true,
+            Some(dc) if self.duty.key_matches(idx, &dc, spec.release) => {
+                self.duty.reg_dc[idx] = Some(dc);
+                true
+            }
+            Some(dc) => {
+                self.duty
+                    .leave(idx, slot, &mut self.jobs.accesses[idx], attended);
+                self.duty.register(idx, &dc, spec.release, slot);
+                false
+            }
+            None => {
+                self.duty
+                    .leave(idx, slot, &mut self.jobs.accesses[idx], attended);
+                self.duty.dead_backstops += 1;
+                self.jobs.retire(idx);
+                false
+            }
+        }
+    }
+
+    /// Aggregate classes settle the slot (see [`ClassSet::settle`]).
+    /// An ejected member's replacement protocol arrives pre-synchronized:
+    /// no `on_activate`, polling starts next slot under the member's
+    /// normal local clock.
+    fn settle_classes(&mut self, slot: u64, fb: &Feedback) {
+        self.classes
+            .settle(slot, fb, &mut self.scratch.class_outbox);
+        for event in self.scratch.class_outbox.drain(..) {
+            let ClassEvent::Eject { member, protocol } = event;
+            self.jobs.protocols[member as usize] = protocol;
+            self.active.push(member);
+        }
+    }
+
+    /// Drain protocol-emitted probe events, stamping slot/job and
+    /// enriching `SizeEstimate` with ground truth (the engine is the only
+    /// component entitled to a global view). Drained in job-id order so
+    /// the bus stream is independent of active-set order (parked jobs
+    /// never hold pending events — they emit only from slots they attend;
+    /// the polled snapshot still includes jobs that just retired or
+    /// parked, whose final events must flush). Class drivers emit on
+    /// behalf of the whole aggregate, so their records carry no job id.
+    fn drain_probes(&mut self, st: &mut RunState) {
+        let order = &mut self.scratch.probe_order;
+        order.clear();
+        order.extend_from_slice(&self.scratch.polled);
+        order.sort_unstable();
+        for k in 0..self.scratch.probe_order.len() {
+            let idx = self.scratch.probe_order[k] as usize;
+            self.jobs.protocols[idx].drain_events(&mut self.event_scratch);
+            self.emit_events(st, Some(self.jobs.specs[idx].id));
+        }
+        self.classes.drain_events(&mut self.event_scratch);
+        self.emit_events(st, None);
+    }
+
+    /// Put the drained events on the bus, stamped with the slot and `job`.
+    fn emit_events(&mut self, st: &mut RunState, job: Option<JobId>) {
+        for mut event in self.event_scratch.drain(..) {
+            if let ProbeEvent::SizeEstimate { class, n_true, .. } = &mut event {
+                *n_true = Self::live_class_size(&self.jobs.specs, *class, st.slot);
+            }
+            st.bus.on_event(&ProbeRecord {
+                slot: st.slot,
+                job,
+                event,
+            });
+        }
+    }
+
+    /// Run any remaining slots and assemble the [`SimReport`]. Consumes
+    /// the run state; the engine needs an [`Engine::reset`] before another
+    /// run.
     pub fn finish(&mut self) -> SimReport {
         if self.run_state.is_none() {
             self.begin();
@@ -2213,8 +1616,6 @@ impl Engine {
             .take()
             .expect("step_until preserves run state");
         let started = std::time::Instant::now();
-        let wants_slots = st.bus.wants_slots();
-        let probed = st.bus.wants_events();
         let RunState {
             counts,
             mut bus,
@@ -2223,6 +1624,8 @@ impl Engine {
             slot,
             base_slot,
             engine_nanos,
+            wants_slots,
+            probed,
             ..
         } = st;
 
@@ -2232,16 +1635,13 @@ impl Engine {
         // exactly as dense polling would have counted them.
         if self.duty.total > 0 {
             for idx in 0..self.jobs.len() {
-                if let Some((tx, li)) = self.duty.deregister(idx, slot) {
-                    self.jobs.accesses[idx].transmissions += tx;
-                    self.jobs.accesses[idx].listens += li;
-                }
+                self.duty.leave(idx, slot, &mut self.jobs.accesses[idx], 0);
             }
         }
 
         // Anything still pending or live when the horizon hit missed.
-        for outcome in &mut self.jobs.outcomes {
-            outcome.get_or_insert(JobOutcome::Missed);
+        for idx in 0..self.jobs.len() {
+            self.jobs.retire(idx);
         }
 
         // Retirement events, in job-id order. Outcomes and access counters
@@ -2335,16 +1735,8 @@ impl Engine {
             None => d.word(0),
         }
         d.word(u64::from(self.config.expose_aligned_clock));
-        d.word(match self.config.scheduling {
-            Scheduling::EventDriven => 0,
-            Scheduling::Dense => 1,
-        });
-        d.word(match self.config.fidelity {
-            Fidelity::Exact => 0,
-            Fidelity::Cohort => 1,
-            Fidelity::Vectorized => 2,
-        });
-        d.word(self.config.kernel_shards as u64);
+        d.word(self.config.scheduling as u64);
+        d.word(self.config.fidelity as u64);
         d.word(self.jammer.p_jam().to_bits());
         d.word(self.jobs.len() as u64);
         for s in &self.jobs.specs {
@@ -2392,8 +1784,8 @@ impl Engine {
         for &j in &self.active {
             needs[j as usize] = true;
         }
-        let (parked_base, parked_entries, parked_pushes, parked_peak) = self.parked.save();
-        for &(_, j) in &parked_entries {
+        let parked = self.parked.save();
+        for &(_, j) in &parked.entries {
             if self.jobs.outcomes[j as usize].is_none() {
                 needs[j as usize] = true;
             }
@@ -2418,30 +1810,13 @@ impl Engine {
                 }
             }
         }
-
-        let mut classes = Vec::with_capacity(self.classes.entries.len());
-        for e in &self.classes.entries {
-            let Some(state) = e.driver.save_state() else {
-                return Err(CheckpointError::Unsupported(format!(
-                    "class driver (tag {}) does not implement save_state",
-                    e.tag
-                )));
-            };
-            classes.push(ClassSnap {
-                tag: e.tag,
-                release: e.release,
-                deadline: e.deadline,
-                live: e.live as u64,
-                opener: e.opener,
-                state,
-            });
-        }
-
+        let classes = self.classes.save()?;
         let Some(adversary) = self.jammer.adversary_state() else {
             return Err(CheckpointError::Unsupported(
                 "adversary does not implement save_state".into(),
             ));
         };
+        let (cohorts, cohort_word_pos) = self.cohorts.save();
 
         crate::telemetry::CHECKPOINTS_SAVED.add(1);
         Ok(Checkpoint {
@@ -2455,60 +1830,16 @@ impl Engine {
             gap_slots: st.sched_stats.gap_slots,
             contention_sum_bits: st.contention_sum.to_bits(),
             jam_word_pos: st.jam_rng.get_word_pos(),
-            cohort_word_pos: st.cohort_rng.as_ref().map(ChaCha8Rng::get_word_pos),
+            cohort_word_pos,
             outcomes: self.jobs.outcomes.clone(),
             accesses: self.jobs.accesses.clone(),
             active: self.active.clone(),
-            parked: ParkedSnap {
-                base: parked_base,
-                entries: parked_entries,
-                pushes: parked_pushes,
-                peak: parked_peak,
-            },
+            parked,
             protocol_state,
-            duty: DutySnap {
-                groups: self
-                    .duty
-                    .groups
-                    .iter()
-                    .map(|g| DutyGroupSnap {
-                        period: g.period,
-                        anchor_mod: g.anchor_mod,
-                        wake_mask: g.wake_mask,
-                        tx_mask: g.tx_mask,
-                        listen_mask: g.listen_mask,
-                        payload: g.payload,
-                        members: g.members.clone(),
-                    })
-                    .collect(),
-                total: self.duty.total as u64,
-                where_of: self.duty.where_of.clone(),
-                reg_dc: self.duty.reg_dc.clone(),
-                reg_slot: self.duty.reg_slot.clone(),
-                backstopped: self.duty.backstopped.clone(),
-                dead_backstops: self.duty.dead_backstops,
-            },
-            cohorts: self
-                .cohorts
-                .cohorts
-                .iter()
-                .map(|c| CohortSnap {
-                    one_shot: c.model == CohortModel::OneShot,
-                    p_bits: match c.model {
-                        CohortModel::Constant { p_bits } => p_bits,
-                        CohortModel::OneShot => 0,
-                    },
-                    deadline: c.deadline,
-                    members: c.members.clone(),
-                    fresh: c.fresh as u64,
-                })
-                .collect(),
+            duty: self.duty.clone(),
+            cohorts,
             classes,
-            kernel: if self.config.fidelity == Fidelity::Vectorized {
-                self.kernel.save()
-            } else {
-                Vec::new()
-            },
+            kernel: self.kernel.save(),
             jams_attempted: self.jammer.attempted(),
             jams_succeeded: self.jammer.succeeded(),
             adversary,
@@ -2524,17 +1855,20 @@ impl Engine {
     /// contract. On success the engine behaves exactly as if it had
     /// executed slots `0..ck.slot` itself: resume with [`Engine::run_to`]
     /// or [`Engine::finish`], or perturb the future first with
-    /// [`Engine::swap_adversary`].
+    /// [`Engine::swap_adversary`]. Each owner validates its own part of
+    /// the image, so an inconsistent checkpoint is a typed
+    /// [`CheckpointError::Mismatch`], never a later panic.
     ///
     /// On error the engine is left half-restored and unusable; discard it.
     /// (`ran` is already set, so accidental reuse panics rather than
     /// producing garbage.)
     pub fn restore(&mut self, ck: &Checkpoint) -> Result<(), CheckpointError> {
+        let mismatch = |what: &str| Err(CheckpointError::Mismatch(what.into()));
         if ck.version != CHECKPOINT_VERSION {
-            return Err(CheckpointError::Mismatch(format!(
+            return mismatch(&format!(
                 "checkpoint version {} (this build reads {CHECKPOINT_VERSION})",
                 ck.version
-            )));
+            ));
         }
         if self.ran || self.run_state.is_some() {
             return Err(CheckpointError::Unsupported(
@@ -2548,202 +1882,60 @@ impl Engine {
         }
         let fp = self.fingerprint();
         if fp != ck.fingerprint {
-            return Err(CheckpointError::Mismatch(format!(
+            return mismatch(&format!(
                 "engine fingerprint {fp:#018x} != checkpoint {:#018x} \
                  (seed, config, p_jam, or job set differs)",
                 ck.fingerprint
-            )));
+            ));
         }
         let n = self.jobs.len();
         if ck.outcomes.len() != n
             || ck.accesses.len() != n
             || ck.protocol_state.len() != n
-            || ck.duty.where_of.len() != n
-            || ck.duty.reg_dc.len() != n
-            || ck.duty.reg_slot.len() != n
-            || ck.duty.backstopped.len() != n
             || ck.next_pending as usize > n
         {
-            return Err(CheckpointError::Mismatch(
-                "per-job vector lengths do not match the job count".into(),
-            ));
+            return mismatch("per-job vector lengths do not match the job count");
         }
-        let in_range = |xs: &[u32]| xs.iter().all(|&j| (j as usize) < n);
-        if !in_range(&ck.active)
-            || !ck.parked.entries.iter().all(|&(_, j)| (j as usize) < n)
-            || !ck.duty.groups.iter().all(|g| in_range(&g.members))
-            || !ck.cohorts.iter().all(|c| in_range(&c.members))
-        {
-            return Err(CheckpointError::Mismatch("job index out of range".into()));
+        if ck.active.iter().any(|&j| j as usize >= n) {
+            return mismatch("job index out of range");
+        }
+        if !ck.duty.is_consistent(n) {
+            return mismatch("duty groups are inconsistent");
         }
 
         self.begin();
 
-        // Run-state scalars and the two stateful RNG streams. (Everything
-        // else draws from counter-based streams keyed on `(key, slot,
-        // phase)`, which need no repositioning.)
-        {
-            let st = self.run_state.as_mut().expect("begin installs run state");
-            st.slot = ck.slot;
-            st.base_slot = ck.slot;
-            st.next_pending = ck.next_pending as usize;
-            st.counts = ck.counts;
-            st.sched_stats.gap_skips = ck.gap_skips;
-            st.sched_stats.gap_slots = ck.gap_slots;
-            st.contention_sum = f64::from_bits(ck.contention_sum_bits);
-            st.jam_rng.set_word_pos(ck.jam_word_pos);
-            match (st.cohort_rng.as_mut(), ck.cohort_word_pos) {
-                (Some(rng), Some(pos)) => rng.set_word_pos(pos),
-                (None, None) => {}
-                _ => {
-                    return Err(CheckpointError::Mismatch(
-                        "cohort stream presence differs from the checkpoint".into(),
-                    ))
-                }
-            }
-        }
+        // Run-state scalars and the jammer stream. (Everything else draws
+        // from counter-based streams keyed on `(key, slot, phase)`, which
+        // need no repositioning, or from the cohort stream its owner
+        // restores.)
+        let st = self.run_state.as_mut().expect("begin installs run state");
+        st.slot = ck.slot;
+        st.base_slot = ck.slot;
+        st.next_pending = ck.next_pending as usize;
+        st.counts = ck.counts;
+        st.sched_stats.gap_skips = ck.gap_skips;
+        st.sched_stats.gap_slots = ck.gap_slots;
+        st.contention_sum = f64::from_bits(ck.contention_sum_bits);
+        st.jam_rng.set_word_pos(ck.jam_word_pos);
 
         self.jobs.outcomes.copy_from_slice(&ck.outcomes);
         self.jobs.accesses.copy_from_slice(&ck.accesses);
         self.active.clear();
         self.active.extend_from_slice(&ck.active);
-        self.parked.load(
-            ck.parked.base,
-            &ck.parked.entries,
-            ck.parked.pushes,
-            ck.parked.peak,
-        );
-
-        // Duty layer, verbatim — group *member order* selects the listen
-        // representative, so groups are transplanted, never re-registered.
-        self.duty.groups.clear();
-        for g in &ck.duty.groups {
-            if g.period == 0 || g.period > 64 || g.anchor_mod >= g.period {
-                return Err(CheckpointError::Mismatch("duty group out of range".into()));
-            }
-            self.duty.groups.push(DutyGroup {
-                period: g.period,
-                anchor_mod: g.anchor_mod,
-                wake_mask: g.wake_mask,
-                tx_mask: g.tx_mask,
-                listen_mask: g.listen_mask,
-                payload: g.payload,
-                members: g.members.clone(),
-            });
-        }
-        if ck
-            .duty
-            .where_of
-            .iter()
-            .any(|&(g1, _)| g1 as usize > ck.duty.groups.len())
-        {
-            return Err(CheckpointError::Mismatch(
-                "duty membership points past the group list".into(),
-            ));
-        }
-        self.duty.total = ck.duty.total as usize;
-        self.duty.where_of.copy_from_slice(&ck.duty.where_of);
-        self.duty.reg_dc.copy_from_slice(&ck.duty.reg_dc);
-        self.duty.reg_slot.copy_from_slice(&ck.duty.reg_slot);
-        self.duty.backstopped.copy_from_slice(&ck.duty.backstopped);
-        self.duty.dead_backstops = ck.duty.dead_backstops;
-
-        // Cohort aggregates, verbatim — member order drives winner
-        // selection and the one-shot fresh/spent prefix split.
-        self.cohorts.clear();
-        for c in &ck.cohorts {
-            if c.fresh as usize > c.members.len() {
-                return Err(CheckpointError::Mismatch(
-                    "cohort fresh prefix exceeds member count".into(),
-                ));
-            }
-            self.cohorts.total += c.members.len();
-            self.cohorts.cohorts.push(Cohort {
-                model: if c.one_shot {
-                    CohortModel::OneShot
-                } else {
-                    CohortModel::Constant { p_bits: c.p_bits }
-                },
-                p: f64::from_bits(c.p_bits),
-                deadline: c.deadline,
-                members: c.members.clone(),
-                fresh: c.fresh as usize,
-            });
-        }
-
-        // Class aggregates: rebuild each driver through its opening job's
-        // protocol (exactly how the original run obtained it), then replay
-        // the captured dynamic state over it.
-        self.classes.clear();
-        for c in &ck.classes {
-            let opener = c.opener as usize;
-            if opener >= n {
-                return Err(CheckpointError::Mismatch(
-                    "class opener out of range".into(),
-                ));
-            }
-            let spec = self.jobs.specs[opener];
-            if spec.release != c.release || spec.deadline != c.deadline {
-                return Err(CheckpointError::Mismatch(
-                    "class opener window differs from the checkpoint".into(),
-                ));
-            }
-            let ctx = JobCtx {
-                id: spec.id,
-                window: spec.window(),
-                local_time: 0,
-                aligned_time: self.config.expose_aligned_clock.then_some(spec.release),
-                probed: false,
-            };
-            let cctx = ClassCtx {
-                release: c.release,
-                deadline: c.deadline,
-                window: c.deadline - c.release,
-                class_seed: self.seeds.derive(
-                    StreamLabel::Class,
-                    class_stream_index(c.tag, c.release, c.deadline),
-                ),
-                probed: false,
-            };
-            let Some(mut driver) = self.jobs.protocols[opener].class_driver(&ctx, &cctx) else {
-                return Err(CheckpointError::Unsupported(format!(
-                    "job {opener} does not open a class driver for tag {}",
-                    c.tag
-                )));
-            };
-            if !driver.restore_state(&c.state) {
-                return Err(CheckpointError::Unsupported(format!(
-                    "class driver (tag {}) rejected its state blob",
-                    c.tag
-                )));
-            }
-            if driver.live() as u64 != c.live {
-                return Err(CheckpointError::Mismatch(
-                    "restored class live count differs from the checkpoint".into(),
-                ));
-            }
-            self.classes.total += c.live as usize;
-            self.classes.entries.push(ClassEntry {
-                tag: c.tag,
-                release: c.release,
-                deadline: c.deadline,
-                live: c.live as usize,
-                count: 0,
-                opener: c.opener,
-                driver,
-            });
-        }
-
-        // The vectorized kernel (prepared by `begin`): buckets, calendar,
-        // and per-job homes from the flat blob.
-        if self.config.fidelity == Fidelity::Vectorized {
-            if !self.kernel.load(&ck.kernel, &self.jobs.keys) {
-                return Err(CheckpointError::Mismatch("kernel blob is malformed".into()));
-            }
-        } else if !ck.kernel.is_empty() {
-            return Err(CheckpointError::Mismatch(
-                "kernel blob present but fidelity is not vectorized".into(),
-            ));
+        self.parked.load(&ck.parked, ck.slot, n)?;
+        self.duty.clone_from(&ck.duty);
+        self.cohorts
+            .load(&ck.cohorts, ck.cohort_word_pos, ck.slot, n)?;
+        self.classes.load(
+            &ck.classes,
+            &self.jobs.specs,
+            &self.jobs.protocols,
+            &self.seeds,
+            self.config.expose_aligned_clock,
+        )?;
+        if !self.kernel.load(&ck.kernel, &self.jobs.keys, ck.slot) {
+            return mismatch("kernel blob is malformed");
         }
 
         // Live protocols: replay each captured blob over the factory-built
@@ -2777,45 +1969,6 @@ impl Engine {
     /// accounting carries over.
     pub fn swap_adversary(&mut self, adversary: Box<dyn Adversary>, p_jam: f64) {
         self.jammer.swap_adversary(adversary, p_jam);
-    }
-
-    /// Route an activating job into its aggregate class, opening the class
-    /// driver at first contact (see [`CohortTx::Class`]). Returns `false`
-    /// when the protocol declines to supply a driver, in which case the
-    /// caller activates the job on the exact per-job path.
-    fn admit_class(&mut self, tag: u64, spec: &JobSpec, ctx: &JobCtx) -> bool {
-        if let Some(entry) = self.classes.find_mut(tag, spec.release, spec.deadline) {
-            entry.driver.admit(spec.id);
-            entry.live += 1;
-            self.classes.total += 1;
-            return true;
-        }
-        let cctx = ClassCtx {
-            release: spec.release,
-            deadline: spec.deadline,
-            window: spec.window(),
-            class_seed: self.seeds.derive(
-                StreamLabel::Class,
-                class_stream_index(tag, spec.release, spec.deadline),
-            ),
-            probed: ctx.probed,
-        };
-        let Some(mut driver) = self.jobs.protocols[spec.id as usize].class_driver(ctx, &cctx)
-        else {
-            return false;
-        };
-        driver.admit(spec.id);
-        self.classes.entries.push(ClassEntry {
-            tag,
-            release: spec.release,
-            deadline: spec.deadline,
-            live: 1,
-            count: 0,
-            opener: spec.id,
-            driver,
-        });
-        self.classes.total += 1;
-        true
     }
 
     /// Ground truth for [`ProbeEvent::SizeEstimate`]: the number of class-ℓ
@@ -2853,6 +2006,7 @@ impl Drop for Engine {
 mod tests {
     use super::*;
     use crate::jamming::JamPolicy;
+    use crate::rng::sample_binomial;
 
     /// Transmit the data message in a fixed local slot.
     struct AtLocal(u64);

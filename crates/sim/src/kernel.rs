@@ -19,9 +19,7 @@
 //! (see [`crate::crng`]), the kernel's transmission set each slot is
 //! *bit-identical* to what the exact path would produce — the
 //! differential suite in `tests/kernel_differential.rs` pins this
-//! across the full protocol × adversary grid — and the Bernoulli pass
-//! can be split across worker threads with identical results for any
-//! partitioning (`tests/partition_invariance.rs`).
+//! across the full protocol × adversary grid.
 //!
 //! [`Fidelity::Vectorized`]: crate::engine::Fidelity::Vectorized
 //! [`CohortTx`]: crate::engine::CohortTx
@@ -31,11 +29,6 @@
 use crate::crng;
 use std::cmp::Reverse;
 use std::collections::{BTreeMap, BinaryHeap};
-
-/// Minimum live Bernoulli lanes before the kernel bothers spawning
-/// worker threads for a sharded pass; below this the spawn overhead
-/// dwarfs the draw work.
-const PARALLEL_MIN_LANES: usize = 256;
 
 /// One `(p, deadline)` class of constant-probability transmitters.
 struct BernBucket {
@@ -57,13 +50,10 @@ struct BernBucket {
 }
 
 impl BernBucket {
-    /// Evaluate the slot's Bernoulli draws for lanes in the word range
-    /// `[word_lo, word_hi)`, appending transmitting job indices to
-    /// `out`. Pure with respect to the bucket (no mutation), so ranges
-    /// can be evaluated concurrently.
-    fn collect_range(&self, slot: u64, word_lo: usize, word_hi: usize, out: &mut Vec<u32>) {
-        for wi in word_lo..word_hi {
-            let word = self.alive[wi];
+    /// Evaluate the slot's Bernoulli draws for every live lane,
+    /// appending transmitting job indices to `out`.
+    fn collect(&self, slot: u64, out: &mut Vec<u32>) {
+        for (wi, &word) in self.alive.iter().enumerate() {
             if word == 0 {
                 continue;
             }
@@ -110,8 +100,9 @@ enum Home {
 }
 
 /// The vectorized slot kernel: batched Bernoulli buckets plus a
-/// one-shot transmission calendar. Owned by the engine; inert (and
-/// allocation-free) unless the run's fidelity is `Vectorized`.
+/// one-shot transmission calendar. Owned by the engine; empty, and so
+/// inert, unless the run's fidelity is `Vectorized`.
+#[derive(Default)]
 pub(crate) struct SlotKernel {
     berns: Vec<BernBucket>,
     /// One-shot calendar: `(transmission slot, job index)` min-heap.
@@ -127,38 +118,13 @@ pub(crate) struct SlotKernel {
     pending: usize,
     /// Total live Bernoulli lanes across buckets.
     bern_live: usize,
-    /// Worker shards for the Bernoulli pass (`<= 1` = inline).
-    shards: usize,
-    /// Per-shard output staging for the threaded pass.
-    shard_out: Vec<Vec<u32>>,
-}
-
-impl Default for SlotKernel {
-    fn default() -> Self {
-        Self::new()
-    }
 }
 
 impl SlotKernel {
-    pub(crate) fn new() -> Self {
-        Self {
-            berns: Vec::new(),
-            shots: BinaryHeap::new(),
-            shot_live: BTreeMap::new(),
-            homes: Vec::new(),
-            pending: 0,
-            bern_live: 0,
-            shards: 1,
-            shard_out: Vec::new(),
-        }
-    }
-
-    /// Reset for a run over `n_jobs` jobs with the given shard count.
-    pub(crate) fn prepare(&mut self, n_jobs: usize, shards: usize) {
+    /// Reset for a run over `n_jobs` jobs.
+    pub(crate) fn prepare(&mut self, n_jobs: usize) {
         self.clear();
         self.homes.resize(n_jobs, Home::None);
-        self.shards = shards.max(1);
-        self.shard_out.resize_with(self.shards, Vec::new);
     }
 
     /// Drop all state (the engine's reset contract).
@@ -169,8 +135,6 @@ impl SlotKernel {
         self.homes.clear();
         self.pending = 0;
         self.bern_live = 0;
-        self.shards = 1;
-        self.shard_out.clear();
     }
 
     /// Pending kernel-managed jobs (counted in `live_jobs` traces and
@@ -262,11 +226,6 @@ impl SlotKernel {
         self.homes[idx as usize] = Home::Shot;
     }
 
-    /// True if `idx` is currently kernel-managed.
-    pub(crate) fn is_managed(&self, idx: usize) -> bool {
-        self.homes.get(idx).is_some_and(|h| *h != Home::None)
-    }
-
     /// Retire expired state at the top of slot `slot`: buckets and
     /// one-shot members whose deadline has arrived stop pending (their
     /// outcomes are settled by the engine's end-of-run sweep, which
@@ -297,7 +256,8 @@ impl SlotKernel {
     }
 
     /// Record delivery of job `idx`: its lane goes dead (Bernoulli) or
-    /// its deadline's pending count drops (one-shot).
+    /// its deadline's pending count drops (one-shot). A job the kernel
+    /// does not manage is left alone.
     pub(crate) fn on_delivery(&mut self, idx: usize, deadline: u64) {
         match self.homes[idx] {
             Home::None => {}
@@ -357,16 +317,12 @@ impl SlotKernel {
             w.push(d);
             w.push(n);
         }
-        let homes_at = w.len();
-        w.push(0);
-        let mut n_shot_homes = 0u64;
-        for (i, h) in self.homes.iter().enumerate() {
-            if *h == Home::Shot {
-                w.push(i as u64);
-                n_shot_homes += 1;
-            }
-        }
-        w[homes_at] = n_shot_homes;
+        let shot_homes: Vec<u64> = (0..self.homes.len())
+            .filter(|&i| self.homes[i] == Home::Shot)
+            .map(|i| i as u64)
+            .collect();
+        w.push(shot_homes.len() as u64);
+        w.extend(shot_homes);
         w
     }
 
@@ -374,50 +330,37 @@ impl SlotKernel {
     /// the engine's per-job counter-key column (lane keys are re-derived
     /// rather than stored); the derived counters (`live`, `bern_live`,
     /// `pending`) are recomputed. Must be called after
-    /// [`SlotKernel::prepare`]. Returns `false` on a malformed word list.
-    pub(crate) fn load(&mut self, w: &[u64], keys: &[u64]) -> bool {
-        fn take(w: &[u64], i: &mut usize) -> Option<u64> {
-            let v = w.get(*i).copied()?;
-            *i += 1;
-            Some(v)
-        }
-        let mut i = 0usize;
-        let Some(n_buckets) = take(w, &mut i) else {
-            return false;
-        };
-        for _ in 0..n_buckets {
-            let (Some(p_bits), Some(deadline), Some(n_lanes)) =
-                (take(w, &mut i), take(w, &mut i), take(w, &mut i))
-            else {
-                return false;
-            };
-            let n_lanes = n_lanes as usize;
-            let mut jobs = Vec::with_capacity(n_lanes);
-            let mut lane_keys = Vec::with_capacity(n_lanes);
+    /// [`SlotKernel::prepare`], for a run paused before `slot`. Returns
+    /// `false` on a malformed word list, including a calendar entry that is
+    /// already past or names a job not homed in the calendar.
+    pub(crate) fn load(&mut self, w: &[u64], keys: &[u64], slot: u64) -> bool {
+        let mut w = w.iter().copied();
+        self.read(&mut w, keys).is_some()
+            && w.next().is_none()
+            && self.shots.iter().all(|&Reverse((s, idx))| {
+                s >= slot && self.homes.get(idx as usize) == Some(&Home::Shot)
+            })
+    }
+
+    /// Parse [`SlotKernel::save`] words (see [`SlotKernel::load`]);
+    /// `None` on underrun or a job out of range.
+    fn read(&mut self, w: &mut impl Iterator<Item = u64>, keys: &[u64]) -> Option<()> {
+        for _ in 0..w.next()? {
+            let (p_bits, deadline, n_lanes) = (w.next()?, w.next()?, w.next()? as usize);
+            let (mut jobs, mut lane_keys) = (Vec::new(), Vec::new());
             for _ in 0..n_lanes {
-                let Some(j) = take(w, &mut i) else {
-                    return false;
-                };
-                let Some(&key) = keys.get(j as usize) else {
-                    return false;
-                };
+                let j = w.next()?;
+                lane_keys.push(*keys.get(j as usize)?);
                 jobs.push(j as u32);
-                lane_keys.push(key);
             }
-            let mut alive = Vec::with_capacity(n_lanes.div_ceil(64));
-            for _ in 0..n_lanes.div_ceil(64) {
-                let Some(word) = take(w, &mut i) else {
-                    return false;
-                };
-                alive.push(word);
-            }
+            let alive = (0..n_lanes.div_ceil(64))
+                .map(|_| w.next())
+                .collect::<Option<Vec<u64>>>()?;
+            let bi = self.berns.len() as u32;
             let mut live = 0usize;
             for (lane, &j) in jobs.iter().enumerate() {
                 if alive[lane / 64] >> (lane % 64) & 1 != 0 {
-                    if j as usize >= self.homes.len() {
-                        return false;
-                    }
-                    self.homes[j as usize] = Home::Bern(self.berns.len() as u32, lane as u32);
+                    *self.homes.get_mut(j as usize)? = Home::Bern(bi, lane as u32);
                     live += 1;
                 }
             }
@@ -433,38 +376,19 @@ impl SlotKernel {
                 live,
             });
         }
-        let Some(n_shots) = take(w, &mut i) else {
-            return false;
-        };
-        for _ in 0..n_shots {
-            let (Some(s), Some(idx)) = (take(w, &mut i), take(w, &mut i)) else {
-                return false;
-            };
+        for _ in 0..w.next()? {
+            let (s, idx) = (w.next()?, w.next()?);
             self.shots.push(Reverse((s, idx as u32)));
         }
-        let Some(n_live) = take(w, &mut i) else {
-            return false;
-        };
-        for _ in 0..n_live {
-            let (Some(d), Some(n)) = (take(w, &mut i), take(w, &mut i)) else {
-                return false;
-            };
+        for _ in 0..w.next()? {
+            let (d, n) = (w.next()?, w.next()?);
             self.shot_live.insert(d, n);
             self.pending += n as usize;
         }
-        let Some(n_homes) = take(w, &mut i) else {
-            return false;
-        };
-        for _ in 0..n_homes {
-            let Some(j) = take(w, &mut i) else {
-                return false;
-            };
-            if j as usize >= self.homes.len() {
-                return false;
-            }
-            self.homes[j as usize] = Home::Shot;
+        for _ in 0..w.next()? {
+            *self.homes.get_mut(w.next()? as usize)? = Home::Shot;
         }
-        i == w.len()
+        Some(())
     }
 
     /// Evaluate slot `slot`: pop due one-shot transmissions and run the
@@ -489,35 +413,10 @@ impl SlotKernel {
         if self.bern_live == 0 {
             return;
         }
-        let shards = self.shards;
-        if shards <= 1 || self.bern_live < PARALLEL_MIN_LANES.max(shards * 64) {
-            for bucket in &self.berns {
-                if bucket.live > 0 && bucket.deadline > slot {
-                    bucket.collect_range(slot, 0, bucket.alive.len(), out);
-                }
+        for bucket in &self.berns {
+            if bucket.live > 0 && bucket.deadline > slot {
+                bucket.collect(slot, out);
             }
-            return;
-        }
-        let berns = &self.berns;
-        let shard_out = &mut self.shard_out[..shards];
-        std::thread::scope(|scope| {
-            for (i, buf) in shard_out.iter_mut().enumerate() {
-                buf.clear();
-                scope.spawn(move || {
-                    for bucket in berns {
-                        if bucket.live == 0 || bucket.deadline <= slot {
-                            continue;
-                        }
-                        let words = bucket.alive.len();
-                        let lo = words * i / shards;
-                        let hi = words * (i + 1) / shards;
-                        bucket.collect_range(slot, lo, hi, buf);
-                    }
-                });
-            }
-        });
-        for buf in shard_out {
-            out.append(buf);
         }
     }
 }
@@ -534,9 +433,9 @@ mod tests {
 
     #[test]
     fn bern_pass_matches_scalar_replay() {
-        let mut k = SlotKernel::new();
+        let mut k = SlotKernel::default();
         let ks = keys(100);
-        k.prepare(100, 1);
+        k.prepare(100);
         for (i, &key) in ks.iter().enumerate() {
             k.insert_bern(i as u32, key, 0.25, 1000);
         }
@@ -552,43 +451,9 @@ mod tests {
     }
 
     #[test]
-    fn sharded_pass_is_partition_invariant() {
-        let n = 1024u64;
-        let ks = keys(n);
-        let reference: Vec<Vec<u32>> = {
-            let mut k = SlotKernel::new();
-            k.prepare(n as usize, 1);
-            for (i, &key) in ks.iter().enumerate() {
-                k.insert_bern(i as u32, key, 0.1, 10_000);
-            }
-            (0..20)
-                .map(|slot| {
-                    let mut out = Vec::new();
-                    k.collect(slot, &mut out);
-                    out.sort_unstable();
-                    out
-                })
-                .collect()
-        };
-        for shards in [2usize, 3, 8] {
-            let mut k = SlotKernel::new();
-            k.prepare(n as usize, shards);
-            for (i, &key) in ks.iter().enumerate() {
-                k.insert_bern(i as u32, key, 0.1, 10_000);
-            }
-            for (slot, want) in reference.iter().enumerate() {
-                let mut out = Vec::new();
-                k.collect(slot as u64, &mut out);
-                out.sort_unstable();
-                assert_eq!(&out, want, "shards {shards} slot {slot}");
-            }
-        }
-    }
-
-    #[test]
     fn oneshot_calendar_fires_once_at_replayed_slot() {
-        let mut k = SlotKernel::new();
-        k.prepare(4, 1);
+        let mut k = SlotKernel::default();
+        k.prepare(4);
         let ks = keys(4);
         for (i, &key) in ks.iter().enumerate() {
             k.insert_shot(i as u32, key, 10, 32, 42);
@@ -618,16 +483,16 @@ mod tests {
 
     #[test]
     fn delivery_and_expiry_zero_out_pending() {
-        let mut k = SlotKernel::new();
-        k.prepare(3, 1);
+        let mut k = SlotKernel::default();
+        k.prepare(3);
         k.insert_bern(0, 1, 0.5, 100);
         k.insert_bern(1, 2, 0.5, 100);
         k.insert_shot(2, 3, 0, 64, 64);
         assert_eq!(k.pending(), 3);
         assert_eq!(k.bern_live(), 2);
         k.on_delivery(0, 100);
-        assert!(!k.is_managed(0));
-        assert!(k.is_managed(1));
+        assert_eq!(k.homes[0], Home::None);
+        assert_ne!(k.homes[1], Home::None);
         assert_eq!(k.pending(), 2);
         assert_eq!(k.bern_live(), 1);
         k.on_delivery(2, 64);
@@ -641,8 +506,8 @@ mod tests {
     #[test]
     fn save_load_round_trips_mixed_state() {
         let ks = keys(8);
-        let mut k = SlotKernel::new();
-        k.prepare(8, 1);
+        let mut k = SlotKernel::default();
+        k.prepare(8);
         for i in 0..4u32 {
             k.insert_bern(i, ks[i as usize], 0.3, 200);
         }
@@ -659,14 +524,14 @@ mod tests {
             k.collect(slot, &mut out);
         }
         let words = k.save();
-        let mut r = SlotKernel::new();
-        r.prepare(8, 1);
-        assert!(r.load(&words, &ks));
+        let mut r = SlotKernel::default();
+        r.prepare(8);
+        assert!(r.load(&words, &ks, 20));
         assert_eq!(r.pending(), k.pending());
         assert_eq!(r.bern_live(), k.bern_live());
         assert_eq!(r.next_tx(), k.next_tx());
         assert_eq!(r.next_expiry(), k.next_expiry());
-        assert_eq!(r.is_managed(1), k.is_managed(1));
+        assert_eq!(r.homes, k.homes);
         for slot in 20..70 {
             k.expire(slot);
             r.expire(slot);
@@ -682,8 +547,8 @@ mod tests {
 
     #[test]
     fn declared_tracks_live_lanes() {
-        let mut k = SlotKernel::new();
-        k.prepare(4, 1);
+        let mut k = SlotKernel::default();
+        k.prepare(4);
         for i in 0..4 {
             k.insert_bern(i, u64::from(i) + 7, 0.25, 50);
         }

@@ -69,7 +69,9 @@
 
 pub mod checkpoint;
 pub mod classes;
+pub mod cohort;
 pub mod crng;
+pub mod duty;
 pub mod engine;
 pub mod gantt;
 pub mod jamming;

@@ -154,14 +154,14 @@ fn worker_count(trials: u64) -> usize {
 }
 
 /// Completed trials between forced progress flushes (see
-/// [`run_trials_with`]): a worker publishes its local count every
+/// [`run_trials_ctl`]): a worker publishes its local count every
 /// `PROGRESS_BATCH` trials or [`PROGRESS_INTERVAL`], whichever first.
 const PROGRESS_BATCH: u64 = 64;
 
 /// Maximum staleness of a worker's published progress.
 const PROGRESS_INTERVAL: Duration = Duration::from_millis(100);
 
-/// Timing instrumentation for one [`run_trials_with`] batch.
+/// Timing instrumentation for one [`run_trials_ctl`] batch.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RunStats {
     /// Wall-clock time of the whole batch (fan-out to join).
@@ -210,47 +210,31 @@ where
     T: Send,
     F: Fn(u64, u64) -> T + Sync,
 {
-    run_trials_with(trials, master_seed, f, |_, _| {}).0
-}
-
-/// [`run_trials`] with instrumentation: returns batch [`RunStats`] and
-/// invokes `progress(completed, total)` as trials finish.
-///
-/// Progress is **batched**: each worker publishes its completions to the
-/// shared counter (and invokes the callback) every [`PROGRESS_BATCH`]
-/// trials or every [`PROGRESS_INTERVAL`] of wall clock, whichever comes
-/// first, plus once at worker exit — so short-trial batches no longer
-/// serialize on an atomic + callback per trial. Consequences for the
-/// callback contract: it sees a monotonically non-decreasing completion
-/// count that is guaranteed to *reach* `total`, but not every intermediate
-/// value; it may be called concurrently from different workers (hence
-/// `Sync`); and it must not assume trial-index order. Timing covers the
-/// whole batch including thread fan-out and join, so `RunStats::wall` is
-/// an upper bound on the sum of per-trial compute divided by effective
-/// parallelism.
-pub fn run_trials_with<T, F, P>(
-    trials: u64,
-    master_seed: u64,
-    f: F,
-    progress: P,
-) -> (Vec<TrialOutcome<T>>, RunStats)
-where
-    T: Send,
-    F: Fn(u64, u64) -> T + Sync,
-    P: Fn(u64, u64) + Sync,
-{
     // A fresh token is never cancelled, so the only possible error is a
     // worker panic — re-raised here with its payload preserved, keeping
-    // the legacy panic contract for batch CLI callers. Long-lived callers
-    // (the experiment server) use `run_trials_ctl` and get a typed error.
-    match run_trials_ctl(trials, master_seed, f, progress, &CancelToken::new()) {
-        Ok(out) => out,
+    // the panic contract for batch CLI callers. Long-lived callers (the
+    // experiment server) use `run_trials_ctl` and get a typed error.
+    match run_trials_ctl(trials, master_seed, f, |_, _| {}, &CancelToken::new()) {
+        Ok((out, _)) => out,
         Err(e) => panic!("{e}"),
     }
 }
 
-/// [`run_trials_with`] with full control: cooperative cancellation via a
-/// [`CancelToken`] and typed errors instead of panics.
+/// [`run_trials`] with full control: batch [`RunStats`], progress
+/// callbacks, cooperative cancellation via a [`CancelToken`], and typed
+/// errors instead of panics.
+///
+/// `progress(completed, total)` is **batched**: each worker publishes its
+/// completions to the shared counter (and invokes the callback) every
+/// `PROGRESS_BATCH` trials or every `PROGRESS_INTERVAL` of wall clock,
+/// whichever comes first, plus once at worker exit — so short-trial
+/// batches do not serialize on an atomic + callback per trial. The
+/// callback sees a monotonically non-decreasing completion count that is
+/// guaranteed to *reach* `total`, but not every intermediate value; it may
+/// be called concurrently from different workers (hence `Sync`); and it
+/// must not assume trial-index order. Timing covers the whole batch
+/// including thread fan-out and join, so `RunStats::wall` is an upper
+/// bound on the sum of per-trial compute divided by effective parallelism.
 ///
 /// Returns [`RunError::Cancelled`] if the token fires before the batch
 /// completes (workers stop claiming new trials; in-flight trials finish),
@@ -569,7 +553,7 @@ mod tests {
         use std::sync::atomic::{AtomicU64, Ordering};
         let max_seen = AtomicU64::new(0);
         let calls = AtomicU64::new(0);
-        let (out, stats) = run_trials_with(
+        let (out, stats) = run_trials_ctl(
             64,
             5,
             |t, _| t,
@@ -579,7 +563,9 @@ mod tests {
                 max_seen.fetch_max(done, Ordering::Relaxed);
                 calls.fetch_add(1, Ordering::Relaxed);
             },
-        );
+            &CancelToken::new(),
+        )
+        .unwrap();
         assert_eq!(out.len(), 64);
         assert_eq!(stats.trials, 64);
         assert!(stats.workers >= 1);
@@ -596,18 +582,6 @@ mod tests {
     }
 
     #[test]
-    fn instrumented_matches_plain_results() {
-        let f = |_t: u64, seed: u64| {
-            let mut rng = ChaCha8Rng::seed_from_u64(seed);
-            rng.gen_range(0..1_000_000u64)
-        };
-        let plain: Vec<u64> = run_trials(50, 17, f).into_iter().map(|t| t.value).collect();
-        let (inst, _) = run_trials_with(50, 17, f, |_, _| {});
-        let inst: Vec<u64> = inst.into_iter().map(|t| t.value).collect();
-        assert_eq!(plain, inst);
-    }
-
-    #[test]
     fn progress_batches_but_reaches_total() {
         use std::sync::atomic::{AtomicU64, Ordering};
         // 200 instant trials: with batching at 64, a lone worker would
@@ -615,7 +589,7 @@ mod tests {
         // yet the last one must still report 200/200.
         let calls = AtomicU64::new(0);
         let max_seen = AtomicU64::new(0);
-        let (out, _) = run_trials_with(
+        let (out, _) = run_trials_ctl(
             200,
             23,
             |t, _| t,
@@ -624,7 +598,9 @@ mod tests {
                 calls.fetch_add(1, Ordering::Relaxed);
                 max_seen.fetch_max(done, Ordering::Relaxed);
             },
-        );
+            &CancelToken::new(),
+        )
+        .unwrap();
         assert_eq!(out.len(), 200);
         assert_eq!(max_seen.load(Ordering::Relaxed), 200);
         // Strictly fewer callbacks than trials unless 100ms elapses per
@@ -640,7 +616,7 @@ mod tests {
         set_worker_override(Some(3));
         assert_eq!(configured_workers(1000), 3);
         assert_eq!(configured_workers(2), 2); // still capped by trials
-        let (_, stats) = run_trials_with(100, 31, |t, _| t, |_, _| {});
+        let (_, stats) = run_trials_ctl(100, 31, |t, _| t, |_, _| {}, &CancelToken::new()).unwrap();
         set_worker_override(None);
         assert_eq!(stats.workers, 3);
         assert!(configured_workers(1000) >= 1);
@@ -742,7 +718,7 @@ mod tests {
 
     #[test]
     fn empty_batch_stats() {
-        let (out, stats) = run_trials_with(0, 1, |_, _| (), |_, _| {});
+        let (out, stats) = run_trials_ctl(0, 1, |_, _| (), |_, _| {}, &CancelToken::new()).unwrap();
         assert!(out.is_empty());
         assert_eq!(stats.trials, 0);
         assert_eq!(stats.per_trial(), Duration::ZERO);

@@ -6,7 +6,7 @@
 //! need an `act()` call here.
 //!
 //! The structure is a hierarchical timing wheel: wakes within the next
-//! [`WHEEL`] slots land in a ring of per-slot buckets (plain `Vec`s whose
+//! `WHEEL` slots land in a ring of per-slot buckets (plain `Vec`s whose
 //! allocations are reused forever — pushing and popping a job is a couple of
 //! array writes, no ordering work at all), while the rare distant wake goes
 //! to a binary-heap overflow that migrates into the ring as the wheel turns.
@@ -20,6 +20,7 @@
 //! wheel is robust under the engine's arbitrary fast-forward jumps (idle
 //! gaps and all-parked stretches can skip millions of slots at once).
 
+use crate::checkpoint::{CheckpointError, ParkedSnap};
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
@@ -176,12 +177,12 @@ impl WakeQueue {
         self.peak
     }
 
-    /// Serialize the calendar for [`crate::checkpoint`]: `(base, entries,
-    /// pushes, peak)`, with entries as `(wake slot, job)` in exactly the
-    /// order [`WakeQueue::pop_due`] would surface them. Pop order is the
+    /// Serialize the calendar for [`crate::checkpoint`]: entries as
+    /// `(wake slot, job)` in exactly the order [`WakeQueue::pop_due`] would
+    /// surface them, plus the base and lifetime counters. Pop order is the
     /// only order-sensitive fact the queue holds; the near/far split is a
     /// performance detail reconstructed on load.
-    pub(crate) fn save(&self) -> (u64, Vec<(u64, u32)>, u64, u64) {
+    pub(crate) fn save(&self) -> ParkedSnap {
         let mut entries = Vec::with_capacity(self.len());
         for off in 0..WHEEL as u64 {
             let s = self.base + off;
@@ -194,21 +195,44 @@ impl WakeQueue {
         for Reverse((s, _, job)) in self.far.clone().into_sorted_vec().into_iter().rev() {
             entries.push((s, job));
         }
-        (self.base, entries, self.pushes, self.peak as u64)
+        ParkedSnap {
+            base: self.base,
+            entries,
+            pushes: self.pushes,
+            peak: self.peak as u64,
+        }
     }
 
-    /// Rebuild the calendar from [`WakeQueue::save`] output. Jobs re-park
-    /// in saved pop order (sequence numbers are reassigned but ascend, so
-    /// relative order within a slot is preserved); the lifetime counters
-    /// are then overwritten with the saved values.
-    pub(crate) fn load(&mut self, base: u64, entries: &[(u64, u32)], pushes: u64, peak: u64) {
-        self.clear();
-        self.base = base;
-        for &(slot, job) in entries {
-            self.push(slot, job);
+    /// Rebuild the calendar from [`WakeQueue::save`] output, for a run
+    /// over `n` jobs paused before `slot`. Jobs re-park in saved pop order
+    /// (sequence numbers are reassigned but ascend, so relative order
+    /// within a slot is preserved); the lifetime counters are then
+    /// overwritten with the saved values. An entry before the base, a base
+    /// past `slot`, or a job out of range is a mismatch.
+    pub(crate) fn load(
+        &mut self,
+        snap: &ParkedSnap,
+        slot: u64,
+        n: usize,
+    ) -> Result<(), CheckpointError> {
+        if snap.base > slot
+            || snap
+                .entries
+                .iter()
+                .any(|&(s, j)| s < snap.base || j as usize >= n)
+        {
+            return Err(CheckpointError::Mismatch(
+                "wake-queue entry out of range".into(),
+            ));
         }
-        self.pushes = pushes;
-        self.peak = peak as usize;
+        self.clear();
+        self.base = snap.base;
+        for &(wake, job) in &snap.entries {
+            self.push(wake, job);
+        }
+        self.pushes = snap.pushes;
+        self.peak = snap.peak as usize;
+        Ok(())
     }
 
     /// Empty the queue and reset the lifetime counters, keeping every
@@ -364,9 +388,9 @@ mod tests {
         q.push(1_000, 6);
         let mut out = Vec::new();
         q.pop_due(3, &mut out);
-        let (base, entries, pushes, peak) = q.save();
+        let snap = q.save();
         let mut r = WakeQueue::new();
-        r.load(base, &entries, pushes, peak);
+        r.load(&snap, 4, 7).expect("consistent image");
         assert_eq!(r.len(), q.len());
         assert_eq!(r.pushes(), q.pushes());
         assert_eq!(r.peak(), q.peak());

@@ -30,6 +30,7 @@ use contention_deadlines::sim::rng::sample_binomial;
 use contention_deadlines::sim::slot::Feedback;
 use proptest::prelude::*;
 use rand::RngCore;
+use serde_json::{Number, Value};
 use testkit::{cases, jammer_pick, jammers, protocol_pick, staggered};
 
 /// Serialize a report with the wall-clock field zeroed — the
@@ -364,4 +365,61 @@ proptest! {
             pause,
         );
     }
+}
+
+/// The member `key` of the JSON object `v`.
+fn member<'a>(v: &'a mut Value, key: &str) -> &'a mut Value {
+    match v {
+        Value::Object(fields) => &mut fields.iter_mut().find(|(k, _)| k == key).expect(key).1,
+        other => panic!("expected an object, got {}", other.kind()),
+    }
+}
+
+/// A checkpoint edited into an inconsistent image is refused with a typed
+/// mismatch at restore — never accepted and left to panic mid-run.
+#[test]
+fn tampered_checkpoints_are_mismatches() {
+    let build = |config: EngineConfig| {
+        let mut e = Engine::new(config, 9);
+        e.add_jobs(&staggered(24, 5, 240), |_| protocol_pick(0));
+        e
+    };
+    let snapshot = |config: EngineConfig| {
+        let mut e = build(config);
+        e.run_to(120);
+        e.snapshot().expect("snapshot")
+    };
+
+    // A one-shot cohort whose deadline precedes the pause slot (its hazard
+    // would divide by a negative remainder on the next slot).
+    let ck = snapshot(EngineConfig::default().cohort());
+    let mut doc = serde_json::to_value(&ck).expect("checkpoint to json");
+    let Value::Array(cohorts) = member(&mut doc, "cohorts") else {
+        panic!("cohorts serialize as a list");
+    };
+    let cohort = cohorts
+        .iter_mut()
+        .find(|c| c.get("model").and_then(Value::as_str) == Some("OneShot"))
+        .expect("a live one-shot cohort at the pause");
+    *member(cohort, "deadline") = Value::Number(Number::U(ck.slot - 1));
+    let tampered: Checkpoint = serde_json::from_value(&doc).expect("json to checkpoint");
+    assert!(
+        matches!(
+            build(EngineConfig::default().cohort()).restore(&tampered),
+            Err(CheckpointError::Mismatch(_))
+        ),
+        "a cohort past its deadline must be a mismatch"
+    );
+
+    // A parked entry before the wake queue's base (a wake in the past).
+    let mut ck = snapshot(EngineConfig::default());
+    assert!(ck.parked.base > 0, "the pause is past slot 0");
+    ck.parked.entries[0].0 = ck.parked.base - 1;
+    assert!(
+        matches!(
+            build(EngineConfig::default()).restore(&ck),
+            Err(CheckpointError::Mismatch(_))
+        ),
+        "a wake before the queue's base must be a mismatch"
+    );
 }

@@ -3,8 +3,8 @@
 //! One copy of the protocol × adversary × workload grids, the
 //! report-equality assertions, and the statistical helpers that the
 //! equivalence suites (`scheduling_equivalence`, `cohort_equivalence`,
-//! `kernel_differential`, `partition_invariance`, `slot_replay`) used to
-//! duplicate. Each `tests/*.rs` consumer declares `mod testkit;` — the
+//! `kernel_differential`, `slot_replay`) used to duplicate. Each
+//! `tests/*.rs` consumer declares `mod testkit;` — the
 //! module is compiled per test crate, so pieces unused by one consumer
 //! are expected dead code.
 #![allow(dead_code)]
