@@ -6,7 +6,7 @@
 //! the cost of more active slots (2λ(ℓ² + n_ℓ − 1) with n_ℓ ∝ τ).
 
 use crate::config::ExpConfig;
-use crate::experiments::util::run_single_class;
+use crate::experiments::util::{aligned_batch, CountedRate};
 use crate::report::{ExpOutput, ReportBuilder};
 use dcr_core::aligned::params::AlignedParams;
 use dcr_sim::runner::run_trials;
@@ -24,20 +24,21 @@ const N_JOBS: usize = 24;
 struct Cell {
     failure: Proportion,
     mean_slots: f64,
+    slots: u64,
 }
 
 fn sweep(cfg: &ExpConfig, lambda: u64, tau: u64) -> Cell {
     let trials = cfg.cell_trials(160);
     let params = AlignedParams::new(lambda, tau, CLASS);
     let results = run_trials(trials, cfg.seed ^ (lambda << 8) ^ tau, |_, seed| {
-        let r = run_single_class(params, CLASS, N_JOBS, 0.0, seed);
-        ((N_JOBS - r.successes) as u64, r.slots_used)
+        let r = aligned_batch(params, CLASS, N_JOBS, 0.0, seed);
+        ((N_JOBS - r.successes()) as u64, r.slots_run)
     });
-    let failures: u64 = results.iter().map(|t| t.value.0).sum();
-    let mean_slots = results.iter().map(|t| t.value.1 as f64).sum::<f64>() / results.len() as f64;
+    let c = CountedRate::pool(&results, N_JOBS);
     Cell {
-        failure: Proportion::new(failures, trials * N_JOBS as u64),
-        mean_slots,
+        failure: c.rate,
+        mean_slots: c.slots as f64 / trials as f64,
+        slots: c.slots,
     }
 }
 
@@ -81,7 +82,7 @@ pub fn run(cfg: &ExpConfig) -> ExpOutput {
                 .row(&id, "mean_slots_used", c.mean_slots)
                 .row(&id, "slots_per_window", c.mean_slots / w)
                 .add_trials(cfg.cell_trials(160))
-                .add_slots((c.mean_slots as u64).saturating_mul(cfg.cell_trials(160)));
+                .add_slots(c.slots);
             table.row(vec![
                 lambda.to_string(),
                 tau.to_string(),

@@ -18,6 +18,7 @@
 //! parses and carries at least one `SizeEstimate` instant).
 
 use crate::config::ExpConfig;
+use crate::experiments::util::probed_estimate;
 use crate::report::{ExpOutput, ReportBuilder};
 use dcr_core::punctual::params::ROUND_LEN;
 use dcr_core::{AlignedParams, AlignedProtocol, PunctualParams, PunctualProtocol};
@@ -33,32 +34,6 @@ const TAU: u64 = 64;
 const CLASS: u32 = 12;
 /// Window for the leader-election half (matches E8).
 const WINDOW: u64 = 1 << 14;
-
-/// One probed ALIGNED run; returns the first `SizeEstimate` event's
-/// `(n_est, n_true)`, or `None` if the class never reported (window ended
-/// mid-estimation).
-fn estimation_trial(n: u32, seed: u64) -> Option<(u64, u64)> {
-    let params = AlignedParams::new(1, TAU, CLASS);
-    let w = 1u64 << CLASS;
-    let config = EngineConfig::aligned().with_probe(ProbeSpec::new().with(SinkSpec::Events));
-    let mut e = Engine::new(config, seed);
-    for i in 0..n {
-        e.add_job(
-            JobSpec::new(i, 0, w),
-            Box::new(AlignedProtocol::new(params)),
-        );
-    }
-    let r = e.run();
-    let probes = r.probes.as_ref().expect("probe configured");
-    probes
-        .events()
-        .expect("events sink configured")
-        .iter()
-        .find_map(|rec| match rec.event {
-            ProbeEvent::SizeEstimate { n_est, n_true, .. } => Some((n_est, n_true)),
-            _ => None,
-        })
-}
 
 /// One probed PUNCTUAL run; returns the earliest `LeaderElected` slot.
 fn leader_trial(n: u32, seed: u64) -> Option<u64> {
@@ -89,8 +64,9 @@ struct EstCell {
 
 fn est_sweep(cfg: &ExpConfig, n: u32) -> EstCell {
     let trials = cfg.cell_trials(120);
+    let params = AlignedParams::new(1, TAU, CLASS);
     let results = run_trials(trials, cfg.seed ^ (u64::from(n) << 24), |_, seed| {
-        estimation_trial(n, seed)
+        probed_estimate(params, CLASS, n as usize, 0.0, seed).0
     });
     let mut in_band = 0u64;
     let mut truth_ok = 0u64;

@@ -9,7 +9,7 @@
 //! phase actually cares about).
 
 use crate::config::ExpConfig;
-use crate::experiments::util::run_single_class;
+use crate::experiments::util::probed_estimate;
 use crate::report::{ExpOutput, ReportBuilder};
 use dcr_core::aligned::params::AlignedParams;
 use dcr_sim::runner::run_trials;
@@ -25,6 +25,7 @@ struct Cell {
     in_paper_band: Proportion,
     overestimate: Proportion,
     mean_ratio: f64,
+    slots: u64,
 }
 
 fn sweep(cfg: &ExpConfig, class: u32, n_hat: usize, p_jam: f64, tau: u64) -> Cell {
@@ -34,15 +35,17 @@ fn sweep(cfg: &ExpConfig, class: u32, n_hat: usize, p_jam: f64, tau: u64) -> Cel
         trials,
         cfg.seed ^ ((n_hat as u64) << 20) ^ ((p_jam * 100.0) as u64),
         |_, seed| {
-            let r = run_single_class(p, class, n_hat, p_jam, seed);
-            r.estimate.unwrap_or(0)
+            let (estimate, slots) = probed_estimate(p, class, n_hat, p_jam, seed);
+            (estimate.map_or(0, |(n_est, _)| n_est), slots)
         },
     );
     let mut in_band = 0u64;
     let mut over = 0u64;
     let mut ratio_sum = 0.0;
+    let mut slots = 0u64;
     for t in &results {
-        let est = t.value;
+        let (est, trial_slots) = t.value;
+        slots += trial_slots;
         if est >= 2 * n_hat as u64 && est <= tau * tau * n_hat as u64 {
             in_band += 1;
         }
@@ -55,6 +58,7 @@ fn sweep(cfg: &ExpConfig, class: u32, n_hat: usize, p_jam: f64, tau: u64) -> Cel
         in_paper_band: Proportion::new(in_band, trials),
         overestimate: Proportion::new(over, trials),
         mean_ratio: ratio_sum / trials as f64,
+        slots,
     }
 }
 
@@ -95,7 +99,8 @@ pub fn run(cfg: &ExpConfig) -> ExpOutput {
             rb.prop(&id, "p_in_paper_band", &cell.in_paper_band)
                 .prop(&id, "p_overestimate", &cell.overestimate)
                 .row(&id, "mean_ratio", cell.mean_ratio)
-                .add_trials(cfg.cell_trials(240));
+                .add_trials(cfg.cell_trials(240))
+                .add_slots(cell.slots);
             table.row(vec![
                 n_hat.to_string(),
                 format!("{p_jam:.2}"),
@@ -120,6 +125,7 @@ pub fn run(cfg: &ExpConfig) -> ExpOutput {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::experiments::util::aligned_batch;
 
     #[test]
     fn estimates_land_in_paper_band_without_jamming() {
@@ -153,9 +159,11 @@ mod tests {
     fn empty_class_run_is_trivial() {
         // With zero jobs there is nobody to report an estimate; the run
         // must terminate immediately and cleanly.
-        let r = run_single_class(params(10, 64), 10, 0, 0.0, 5);
-        assert_eq!(r.estimate, None);
-        assert_eq!(r.successes, 0);
-        assert_eq!(r.slots_used, 1);
+        let (estimate, slots) = probed_estimate(params(10, 64), 10, 0, 0.0, 5);
+        assert_eq!(estimate, None);
+        assert_eq!(slots, 0);
+        let r = aligned_batch(params(10, 64), 10, 0, 0.0, 5);
+        assert_eq!(r.successes(), 0);
+        assert_eq!(r.slots_run, 0);
     }
 }

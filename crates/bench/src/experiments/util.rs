@@ -1,11 +1,16 @@
 //! Shared helpers for the experiment modules.
 
+use dcr_core::{AlignedParams, AlignedProtocol};
 use dcr_sim::engine::{Action, Engine, EngineConfig, JobCtx, Protocol};
-use dcr_sim::jamming::Jammer;
+use dcr_sim::jamming::{JamPolicy, Jammer};
 use dcr_sim::message::{ControlMsg, Payload};
 use dcr_sim::metrics::SimReport;
+use dcr_sim::probe::{ProbeEvent, ProbeSpec, SinkSpec};
+use dcr_sim::runner::TrialOutcome;
 use dcr_sim::slot::Feedback;
 use dcr_sim::trace::{SlotOutcome, SlotRecord};
+use dcr_stats::Proportion;
+use dcr_workloads::generators::batch;
 use dcr_workloads::Instance;
 use rand::{Rng, RngCore};
 
@@ -95,83 +100,98 @@ pub fn find_round_anchor(trace: &[SlotRecord]) -> Option<u64> {
     None
 }
 
-/// Result of a manually driven single-class ALIGNED run.
-#[derive(Debug, Clone, Copy)]
-pub struct ClassRun {
-    /// The estimate the class computed (`None` if truncated mid-estimation).
-    pub estimate: Option<u64>,
-    /// Jobs that delivered their data message.
-    pub successes: usize,
-    /// Jobs that gave up (schedule completed or window ended without them).
-    pub gave_up: usize,
-    /// Slots consumed until every job finished (or the window ended).
-    pub slots_used: u64,
-}
-
-/// Drive `n` [`dcr_core::aligned::protocol::AlignedJob`] machines of class
-/// `class` through one window `[0, 2^class)` with a stochastic jammer that
-/// kills each would-be success with probability `p_jam` (the Section 3
-/// adversary with an always-attempt policy). Bypassing the engine lets
-/// experiments read protocol internals (the estimate) directly.
-pub fn run_single_class(
-    params: dcr_core::aligned::params::AlignedParams,
+/// Run a batch of `n` [`AlignedProtocol`] jobs of class `class`, all in
+/// the window `[0, 2^class)`, on the exact event-driven engine. With
+/// `p_jam > 0` an all-successes adversary kills each lone transmission
+/// with probability `p_jam` (the Section 3 jammer).
+pub fn aligned_batch(
+    params: AlignedParams,
     class: u32,
     n: usize,
     p_jam: f64,
     seed: u64,
-) -> ClassRun {
-    use dcr_core::aligned::protocol::{AlignedAction, AlignedJob};
-    use dcr_sim::rng::{SeedSeq, StreamLabel};
+) -> SimReport {
+    run_aligned_batch(EngineConfig::aligned(), params, class, n, p_jam, seed)
+}
 
-    let seeds = SeedSeq::new(seed);
-    let mut rngs: Vec<_> = (0..n)
-        .map(|i| seeds.rng(StreamLabel::Job, i as u64))
-        .collect();
-    let mut jam_rng = seeds.rng(StreamLabel::Jammer, 0);
-    let mut jobs: Vec<AlignedJob> = (0..n)
-        .map(|i| AlignedJob::new(params, i as u32, class, 0))
-        .collect();
+/// [`aligned_batch`] with an events probe armed. Returns the first
+/// `SizeEstimate` event's `(n_est, n_true)` — `None` if the class never
+/// reported (the window ended mid-estimation) — and the slots the engine
+/// ran.
+pub fn probed_estimate(
+    params: AlignedParams,
+    class: u32,
+    n: usize,
+    p_jam: f64,
+    seed: u64,
+) -> (Option<(u64, u64)>, u64) {
+    let config = EngineConfig::aligned().with_probe(ProbeSpec::new().with(SinkSpec::Events));
+    let r = run_aligned_batch(config, params, class, n, p_jam, seed);
+    let estimate = r
+        .probes
+        .as_ref()
+        .and_then(|p| p.events())
+        .expect("events sink configured")
+        .iter()
+        .find_map(|rec| match rec.event {
+            ProbeEvent::SizeEstimate { n_est, n_true, .. } => Some((n_est, n_true)),
+            _ => None,
+        });
+    (estimate, r.slots_run)
+}
 
-    let w = 1u64 << class;
-    let mut slots_used = w;
-    for vt in 0..w {
-        let mut txs: Vec<(usize, Payload)> = Vec::new();
-        for (i, job) in jobs.iter_mut().enumerate() {
-            if job.finished() {
-                continue;
-            }
-            match job.decide(vt, &mut rngs[i]) {
-                AlignedAction::Idle | AlignedAction::Doze => {}
-                AlignedAction::Control => txs.push((i, job.control_payload())),
-                AlignedAction::Data => txs.push((i, job.data_payload())),
-            }
-        }
-        let fb = match txs.len() {
-            0 => Feedback::Silent,
-            1 if p_jam > 0.0 && jam_rng.gen_bool(p_jam) => Feedback::Noise,
-            1 => Feedback::Success {
-                src: txs[0].0 as u32,
-                payload: txs[0].1,
-            },
-            _ => Feedback::Noise,
-        };
-        let mut all_done = true;
-        for job in jobs.iter_mut() {
-            if !job.finished() {
-                job.observe(vt, &fb);
-            }
-            all_done &= job.finished();
-        }
-        if all_done {
-            slots_used = vt + 1;
-            break;
+fn run_aligned_batch(
+    config: EngineConfig,
+    params: AlignedParams,
+    class: u32,
+    n: usize,
+    p_jam: f64,
+    seed: u64,
+) -> SimReport {
+    let jammer = (p_jam > 0.0).then(|| Jammer::new(JamPolicy::AllSuccesses, p_jam));
+    run_instance(
+        &batch(n, 1 << class),
+        config,
+        jammer,
+        seed,
+        AlignedProtocol::factory(params),
+    )
+}
+
+/// A cell's pooled per-job rate and the slots the engine ran for it. It
+/// derefs to the rate, so callers read it as the [`Proportion`] it is.
+#[derive(Debug, Clone, Copy)]
+pub struct CountedRate {
+    /// Pooled hits over every job of every trial.
+    pub rate: Proportion,
+    /// Summed [`SimReport::slots_run`] over the trials.
+    pub slots: u64,
+}
+
+impl CountedRate {
+    /// Pool trial outcomes `(hits, slots_run)`, each over `jobs` jobs.
+    pub fn pool(results: &[TrialOutcome<(u64, u64)>], jobs: usize) -> Self {
+        CountedRate {
+            rate: Proportion::new(
+                results.iter().map(|t| t.value.0).sum(),
+                results.len() as u64 * jobs as u64,
+            ),
+            slots: results.iter().map(|t| t.value.1).sum(),
         }
     }
-    ClassRun {
-        estimate: jobs.first().and_then(|j| j.estimate()),
-        successes: jobs.iter().filter(|j| j.succeeded()).count(),
-        gave_up: jobs.iter().filter(|j| j.gave_up()).count(),
-        slots_used,
+}
+
+impl std::ops::Deref for CountedRate {
+    type Target = Proportion;
+
+    fn deref(&self) -> &Proportion {
+        &self.rate
+    }
+}
+
+impl std::fmt::Display for CountedRate {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        self.rate.fmt(f)
     }
 }
 

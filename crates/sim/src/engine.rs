@@ -1934,7 +1934,10 @@ impl Engine {
             &self.seeds,
             self.config.expose_aligned_clock,
         )?;
-        if !self.kernel.load(&ck.kernel, &self.jobs.keys, ck.slot) {
+        if !self
+            .kernel
+            .load(&ck.kernel, &self.jobs.keys, &self.jobs.specs, ck.slot)
+        {
             return mismatch("kernel blob is malformed");
         }
 

@@ -27,6 +27,7 @@
 //! [`CohortTx::OneShot`]: crate::engine::CohortTx::OneShot
 
 use crate::crng;
+use crate::job::JobSpec;
 use std::cmp::Reverse;
 use std::collections::{BTreeMap, BinaryHeap};
 
@@ -332,14 +333,31 @@ impl SlotKernel {
     /// `pending`) are recomputed. Must be called after
     /// [`SlotKernel::prepare`], for a run paused before `slot`. Returns
     /// `false` on a malformed word list, including a calendar entry that is
-    /// already past or names a job not homed in the calendar.
-    pub(crate) fn load(&mut self, w: &[u64], keys: &[u64], slot: u64) -> bool {
+    /// already past or names a job not homed in the calendar, and a
+    /// pending-per-deadline map that disagrees with the homed jobs'
+    /// deadlines in `specs`.
+    pub(crate) fn load(&mut self, w: &[u64], keys: &[u64], specs: &[JobSpec], slot: u64) -> bool {
         let mut w = w.iter().copied();
         self.read(&mut w, keys).is_some()
             && w.next().is_none()
             && self.shots.iter().all(|&Reverse((s, idx))| {
                 s >= slot && self.homes.get(idx as usize) == Some(&Home::Shot)
             })
+            && self.shot_live == self.homed_shots(specs, slot)
+    }
+
+    /// Jobs homed in the calendar per deadline, counting only deadlines
+    /// at or after `slot`: [`SlotKernel::expire`] drops a deadline's
+    /// count on its own slot but leaves its members homed, and the run
+    /// pauses before expiring its pause slot.
+    fn homed_shots(&self, specs: &[JobSpec], slot: u64) -> BTreeMap<u64, u64> {
+        let mut live = BTreeMap::new();
+        for (home, spec) in self.homes.iter().zip(specs) {
+            if *home == Home::Shot && spec.deadline >= slot {
+                *live.entry(spec.deadline).or_insert(0) += 1;
+            }
+        }
+        live
     }
 
     /// Parse [`SlotKernel::save`] words (see [`SlotKernel::load`]);
@@ -382,7 +400,9 @@ impl SlotKernel {
         }
         for _ in 0..w.next()? {
             let (d, n) = (w.next()?, w.next()?);
-            self.shot_live.insert(d, n);
+            if self.shot_live.insert(d, n).is_some() {
+                return None;
+            }
             self.pending += n as usize;
         }
         for _ in 0..w.next()? {
@@ -526,7 +546,10 @@ mod tests {
         let words = k.save();
         let mut r = SlotKernel::default();
         r.prepare(8);
-        assert!(r.load(&words, &ks, 20));
+        let specs: Vec<JobSpec> = (0..8)
+            .map(|i| JobSpec::new(i, 0, if i < 4 { 200 } else { 64 }))
+            .collect();
+        assert!(r.load(&words, &ks, &specs, 20));
         assert_eq!(r.pending(), k.pending());
         assert_eq!(r.bern_live(), k.bern_live());
         assert_eq!(r.next_tx(), k.next_tx());

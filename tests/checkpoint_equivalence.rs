@@ -422,4 +422,50 @@ fn tampered_checkpoints_are_mismatches() {
         ),
         "a wake before the queue's base must be a mismatch"
     );
+
+    // A pending-per-deadline count moved off its jobs' deadline (a later
+    // delivery would find no pending count to decrement), or listed twice
+    // (its jobs would pend twice over).
+    let ck = snapshot(EngineConfig::default().vectorized());
+    let at = first_shot_live_deadline(&ck.kernel);
+    let mut kernels: Vec<Vec<u64>> = [0, ck.slot, ck.kernel[at] + 1000]
+        .into_iter()
+        .map(|deadline| {
+            let mut kernel = ck.kernel.clone();
+            kernel[at] = deadline;
+            kernel
+        })
+        .collect();
+    let mut twice = ck.kernel.clone();
+    twice[at - 1] += 1;
+    twice.splice(at..at, ck.kernel[at..at + 2].to_vec());
+    kernels.push(twice);
+    for kernel in kernels {
+        let tampered = Checkpoint {
+            kernel,
+            ..ck.clone()
+        };
+        assert!(
+            matches!(
+                build(EngineConfig::default().vectorized()).restore(&tampered),
+                Err(CheckpointError::Mismatch(_))
+            ),
+            "a tampered one-shot count must be a mismatch"
+        );
+    }
+}
+
+/// Index of the first deadline in a kernel blob's pending-per-deadline
+/// map. The blob is Bernoulli buckets (`p_bits`, deadline, lane count,
+/// lanes, alive words), then the calendar (count, `(slot, job)` pairs),
+/// then the map (count, `(deadline, pending)` pairs).
+fn first_shot_live_deadline(kernel: &[u64]) -> usize {
+    let mut at = 1;
+    for _ in 0..kernel[0] {
+        let lanes = kernel[at + 2] as usize;
+        at += 3 + lanes + lanes.div_ceil(64);
+    }
+    at += 1 + 2 * kernel[at] as usize;
+    assert!(kernel[at] > 0, "a pending one-shot at the pause");
+    at + 1
 }
