@@ -2,14 +2,40 @@
 //! any two trackers started at a common critical time and fed the same
 //! public channel history agree on every slot's owner and on every class's
 //! schedule — regardless of what the (arbitrary, even nonsensical)
-//! feedback stream contains.
+//! feedback stream contains. A last property checks the wake plan an
+//! [`AlignedJob`] derives from its tracker against dense stepping.
 
 use dcr_core::aligned::params::AlignedParams;
+use dcr_core::aligned::protocol::{AlignedAction, AlignedJob};
 use dcr_core::aligned::tracker::Tracker;
 use dcr_sim::job::JobId;
 use dcr_sim::message::Payload;
 use dcr_sim::slot::Feedback;
 use proptest::prelude::*;
+use rand::{RngCore, SeedableRng};
+use rand_chacha::ChaCha8Rng;
+
+/// An RNG that counts the words drawn from it.
+#[derive(Clone)]
+struct Counting {
+    inner: ChaCha8Rng,
+    words: u64,
+}
+
+impl RngCore for Counting {
+    fn next_u32(&mut self) -> u32 {
+        self.words += 1;
+        self.inner.next_u32()
+    }
+    fn next_u64(&mut self) -> u64 {
+        self.words += 1;
+        self.inner.next_u64()
+    }
+    fn fill_bytes(&mut self, dest: &mut [u8]) {
+        self.words += 1;
+        self.inner.fill_bytes(dest)
+    }
+}
 
 /// Arbitrary feedback: silent, noise, or a success from some job id.
 fn arb_feedback() -> impl Strategy<Value = Feedback> {
@@ -135,6 +161,121 @@ proptest! {
                     prop_assert!(steps <= params.est_len(class));
                 }
             }
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(128))]
+
+    /// The wake plan is exact. One job under test shares a channel with
+    /// other ALIGNED jobs in every class it tracks, all stepped densely. A
+    /// lone data transmission is jammed with probability about
+    /// `jam_eighths / 8`, so some schedules run out and their jobs give up.
+    /// Each time the job is observed at `now`, a clone of it steps through
+    /// every slot before `next_wake_vt(now)`: each must be a `Doze` that
+    /// draws no RNG word and leaves the job unfinished. At the wake, the
+    /// job (which jumped there) and the clone must act alike and end in
+    /// the same state.
+    #[test]
+    fn wake_plan_matches_dense_stepping(
+        lambda in 1u64..3,
+        min_class in 6u32..9,
+        extra in 0u32..3,
+        start_block in 0u64..3,
+        per_window in prop::collection::vec(0u32..4, 3..4),
+        jams in prop::collection::vec(0u8..8, 1..64),
+        jam_eighths in 0u8..9,
+        seed in 0u64..1_000_000,
+    ) {
+        let params = AlignedParams::new(lambda, 2, min_class);
+        let class = min_class + extra;
+        let start = start_block << class;
+        let end = start + (1u64 << class);
+        // `per_window[k]` other jobs in every class-(min_class + k) window.
+        let mut others = Vec::new();
+        for (k, &count) in per_window.iter().take(extra as usize + 1).enumerate() {
+            let c = min_class + k as u32;
+            for ws in (start..end).step_by(1 << c) {
+                for _ in 0..count {
+                    let id = others.len() as JobId + 1;
+                    others.push((AlignedJob::new(params, id, c, ws), id, ws..ws + (1 << c)));
+                }
+            }
+        }
+        let mut world_rng = ChaCha8Rng::seed_from_u64(!seed);
+        let mut job = AlignedJob::new(params, 0, class, start);
+        let mut rng = Counting { inner: ChaCha8Rng::seed_from_u64(seed), words: 0 };
+        let mut wake = start;
+        let mut dense: Option<(AlignedJob, Counting)> = None;
+        for vt in start..end {
+            let mut tx = Vec::new();
+            let mut attended = Vec::new();
+            for (i, (o, id, window)) in others.iter_mut().enumerate() {
+                if !window.contains(&vt) || o.finished() {
+                    continue;
+                }
+                match o.decide(vt, &mut world_rng) {
+                    AlignedAction::Doze => continue,
+                    AlignedAction::Control => tx.push((*id, o.control_payload())),
+                    AlignedAction::Data => tx.push((*id, o.data_payload())),
+                    AlignedAction::Idle => {}
+                }
+                attended.push(i);
+            }
+            let dense_act = dense
+                .as_mut()
+                .map(|(d, d_rng)| (d.decide(vt, d_rng), d_rng.words));
+            let act = if vt == wake {
+                let act = job.decide(vt, &mut rng);
+                match act {
+                    AlignedAction::Control => tx.push((0, job.control_payload())),
+                    AlignedAction::Data => tx.push((0, job.data_payload())),
+                    _ => {}
+                }
+                Some(act)
+            } else {
+                if let (Some((dense_act, words)), Some((d, _))) = (dense_act, dense.as_ref()) {
+                    prop_assert_eq!(dense_act, AlignedAction::Doze, "slot {} before wake {}", vt, wake);
+                    prop_assert_eq!(words, rng.words, "a dozed slot drew randomness");
+                    prop_assert_eq!(d.finished(), job.finished(), "outcome moved in dozed slot {}", vt);
+                }
+                None
+            };
+            let fb = match tx.as_slice() {
+                [] => Feedback::Silent,
+                [(src, payload)]
+                    if !payload.is_data() || jams[vt as usize % jams.len()] >= jam_eighths =>
+                {
+                    Feedback::Success {
+                        src: *src,
+                        payload: *payload,
+                    }
+                }
+                _ => Feedback::Noise,
+            };
+            for &i in &attended {
+                others[i].0.observe(vt, &fb);
+            }
+            let Some(act) = act else { continue };
+            if act != AlignedAction::Doze {
+                job.observe(vt, &fb);
+            }
+            if let (Some((dense_act, _)), Some((d, d_rng))) = (dense_act, dense.as_mut()) {
+                prop_assert_eq!(dense_act, act, "action at wake {}", vt);
+                if act != AlignedAction::Doze {
+                    d.observe(vt, &fb);
+                }
+                prop_assert_eq!(d_rng.words, rng.words);
+                prop_assert_eq!(format!("{d:?}"), format!("{job:?}"), "state at wake {}", vt);
+            }
+            wake = job.next_wake_vt(vt);
+            if wake == u64::MAX {
+                prop_assert!(job.finished());
+                break;
+            }
+            prop_assert!(wake > vt && wake <= end, "wake {} after {}", wake, vt);
+            dense = Some((job.clone(), rng.clone()));
         }
     }
 }
