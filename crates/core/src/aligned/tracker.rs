@@ -278,27 +278,27 @@ impl Tracker {
         // Every multiple of 2^min_class resets the smallest class into a
         // fresh estimation, so no plan extends past the next one.
         let boundary = (now | (min_w - 1)) + 1;
-        let mut steps: Vec<u64> = self.classes.iter().map(|c| c.steps).collect();
-        let mut complete: Vec<bool> = self.classes.iter().map(|c| c.complete).collect();
+        // Walk the unfinished classes in pecking order. Each one owns the
+        // slots from `t` until its schedule ends; a class whose broadcast
+        // segment passes without an event for this job is finished by then,
+        // and the next unfinished class takes over where it ended.
         let mut t = now + 1;
-        while t < boundary {
-            let Some(idx) = complete.iter().position(|c| !c) else {
-                return boundary;
-            };
-            let cs = &self.classes[idx];
+        for cs in self.classes.iter().filter(|cs| !cs.complete) {
+            if t >= boundary {
+                break;
+            }
             let est_len = self.params.est_len(cs.class);
-            if steps[idx] < est_len {
+            if cs.steps < est_len {
                 return t;
             }
             let layout = cs.layout.as_ref().expect("estimated class has a layout");
-            let total = est_len + layout.total();
-            let remaining = total - steps[idx];
+            let remaining = est_len + layout.total() - cs.steps;
             let seg_end = (t + remaining).min(boundary);
             if cs.class == my_class && cs.window_start == my_window_start {
                 // Within the segment, active steps map 1:1 onto slots.
-                let bstep = steps[idx] - est_len;
+                let bstep = cs.steps - est_len;
                 let pos = layout.position(bstep);
-                if drawn_subphase != Some(steps[idx] - pos.offset) {
+                if drawn_subphase != Some(cs.steps - pos.offset) {
                     // A subphase this job has not drawn a slot for is
                     // under way at t: wake to draw.
                     return t;
@@ -323,11 +323,6 @@ impl Tracker {
                 return boundary;
             }
             // Another class's broadcast segment: nothing to do or hear.
-            if seg_end < t + remaining {
-                return boundary;
-            }
-            steps[idx] = total;
-            complete[idx] = true;
             t = seg_end;
         }
         boundary
