@@ -112,6 +112,24 @@ pub fn staggered(n: u32, spread: u64, w: u64) -> Vec<JobSpec> {
         .collect()
 }
 
+/// ALIGNED jobs in two classes over `[0, 2^11)` for
+/// `AlignedParams::new(1, 2, 8)`: three in every class-8 window and four
+/// in every class-10 window. Each class-10 job tracks classes 8, 9 and
+/// 10, and class 8 preempts it at each of its window boundaries.
+pub fn aligned_two_classes() -> Vec<JobSpec> {
+    (0..32u32)
+        .map(|i| {
+            let (class, window) = if i < 24 {
+                (8, i / 3)
+            } else {
+                (10, (i - 24) / 4)
+            };
+            let r = u64::from(window) << class;
+            JobSpec::new(i, r, r + (1 << class))
+        })
+        .collect()
+}
+
 /// Assert every non-diagnostic observable of two reports matches
 /// bit-for-bit: outcomes, channel counts, per-job access counts,
 /// `slots_run`, and — when both runs traced — the trace tallies.
