@@ -576,7 +576,8 @@ fn main() {
     // on the ALIGNED and PUNCTUAL batch shapes of E20, both event-driven.
     // A batch shares one class, so per-trial success fractions cluster
     // (one size estimate, one leader fate per trial) — the statistical
-    // equivalence claim lives in tests/cohort_equivalence.rs and E20's
+    // equivalence claim lives in the conformance matrix's law-level
+    // column (tests/cohort_equivalence.rs) and E20's
     // anchor cells; here a loose band only catches gross modelling breaks
     // while the row measures throughput. The exact baseline runs once (it
     // is the slow side being replaced); the aggregate side keeps REPS.

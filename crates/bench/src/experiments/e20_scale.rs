@@ -22,7 +22,8 @@
 //! (E20c) checks both the trial-level means and the z = 4 **Wilson
 //! intervals** of the good-trial rate — the fraction of trials delivering
 //! ≥ 50%, a genuine binomial over independent trials. The tighter
-//! distributional equivalence claims live in `tests/cohort_equivalence.rs`
+//! distributional equivalence claims live in the conformance matrix's
+//! law-level column, `tests/cohort_equivalence.rs`
 //! (cluster-robust jammer grid, per-seed replayability of the aggregate
 //! path).
 
@@ -36,7 +37,8 @@ use dcr_sim::runner::run_trials;
 use dcr_stats::{Proportion, Table};
 use dcr_workloads::generators::batch;
 
-/// λ for both protocols (matches the equivalence suites).
+/// λ for both protocols (matches the conformance matrix's cohort
+/// populations).
 const LAMBDA: u64 = 1;
 /// τ for the embedded size estimation.
 const TAU: u64 = 2;

@@ -34,8 +34,9 @@
 //! draws inside the core.
 //!
 //! The fidelity contract matches [`dcr_sim::classes`]: statistical
-//! equivalence with the exact path (Wilson-interval checked in
-//! `tests/cohort_equivalence.rs`), exact replay, shard invariance.
+//! equivalence with the exact path (checked by the conformance matrix's
+//! law-level column in `tests/cohort_equivalence.rs`), exact replay, shard
+//! invariance.
 
 use crate::aligned::cohort::{aligned_class_tag, AlignedCohort};
 use crate::punctual::messages::PunctualMsg;

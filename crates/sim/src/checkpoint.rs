@@ -10,8 +10,9 @@
 //! snapshotted, and a fresh engine restored from that snapshot and run to
 //! completion must produce a [`crate::metrics::SimReport`] byte-identical
 //! (modulo wall-clock `engine_nanos`) to an uninterrupted run of the same
-//! configuration. `tests/checkpoint_equivalence.rs` enforces this across
-//! the protocol × adversary × fidelity grid.
+//! configuration. The conformance matrix's `RESTORE` column
+//! (`tests/checkpoint_equivalence.rs`) enforces this across the protocol ×
+//! adversary × fidelity grid, duty groups included.
 //!
 //! ## What a checkpoint captures
 //!

@@ -37,7 +37,8 @@
 //!
 //! Aggregate classes run under [`crate::engine::Fidelity::Cohort`] only and
 //! promise **statistical** equivalence with the exact path (same success-law,
-//! checked by Wilson-interval overlap in `tests/cohort_equivalence.rs`), not
+//! checked by the conformance matrix's law-level column in
+//! `tests/cohort_equivalence.rs`), not
 //! bit identity: the class stream and the per-job streams are distinct RNG
 //! domains. Under [`crate::engine::Fidelity::Vectorized`] class-profile jobs
 //! take the exact per-job path so the kernel's bit-identity contract is

@@ -2437,7 +2437,8 @@ mod tests {
     #[test]
     fn vectorized_mode_is_bit_identical_to_exact_smoke() {
         // Full grid coverage (protocols × adversaries × scheduling) lives
-        // in tests/kernel_differential.rs; this pins the basic contract
+        // in the conformance matrix's VECTORIZED column
+        // (tests/kernel_differential.rs); this pins the basic contract
         // close to the engine: same outcomes, counts, accesses, and
         // slots_run for a Bernoulli population, per seed.
         struct Bern(f64);

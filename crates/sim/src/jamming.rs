@@ -35,7 +35,8 @@
 //! stretches is safe. After every attempt the [`Jammer`] wrapper draws the
 //! `p_jam` success coin from the same stream. Event-driven and dense
 //! scheduling therefore consume identical adversary randomness, which is
-//! what keeps `tests/scheduling_equivalence.rs` bit-exact.
+//! what keeps the conformance matrix's `DENSE` column
+//! (`tests/scheduling_equivalence.rs`) bit-exact.
 
 use crate::job::JobId;
 use crate::message::Payload;

@@ -18,8 +18,8 @@
 //! Because every draw is a pure function of `(job_key, slot, phase)`
 //! (see [`crate::crng`]), the kernel's transmission set each slot is
 //! *bit-identical* to what the exact path would produce — the
-//! differential suite in `tests/kernel_differential.rs` pins this
-//! across the full protocol × adversary grid.
+//! conformance matrix's `VECTORIZED` column (`tests/kernel_differential.rs`)
+//! pins this across the full protocol × adversary grid.
 //!
 //! [`Fidelity::Vectorized`]: crate::engine::Fidelity::Vectorized
 //! [`CohortTx`]: crate::engine::CohortTx

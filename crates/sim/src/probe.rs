@@ -34,8 +34,8 @@
 //! [`ProbeEvent::WakeQueueStats`] events are scheduling-dependent;
 //! [`ChromeTraceSink`] therefore excludes the engine events and canonicalizes
 //! order, and [`AggregatingSink`] is order-insensitive, which makes both
-//! byte-identical across scheduling modes (tested in
-//! `tests/scheduling_equivalence.rs`).
+//! byte-identical across scheduling modes (tested by the conformance
+//! matrix's `DENSE | OBSERVED` cells in `tests/scheduling_equivalence.rs`).
 
 use crate::trace::{SlotOutcome, SlotRecord};
 use dcr_stats::Histogram;

@@ -414,7 +414,8 @@ pub struct BranchedRun {
 /// **Bit-identity contract:** each branch's report is byte-identical to an
 /// uninterrupted run that calls `run_to(prefix_slots)`, swaps to the same
 /// adversary, and finishes (modulo wall-clock `engine_nanos`); the
-/// checkpoint equivalence suite enforces this. The engine must satisfy the
+/// conformance matrix's `BRANCH` column (`tests/conformance.rs`) enforces
+/// this. The engine must satisfy the
 /// [`Engine::snapshot`] requirements: no trace, no probes, and live
 /// protocols that implement state capture.
 ///

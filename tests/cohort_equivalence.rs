@@ -1,213 +1,137 @@
-//! Statistical equivalence of [`Fidelity::Cohort`] and the exact path.
+//! The conformance matrix's law-level column: [`Fidelity::Cohort`] ↔
+//! the exact path. Cohort mode draws one binomial per cohort instead of
+//! per-job Bernoullis, so the claim is distributional, in two strengths:
 //!
-//! Cohort mode replaces per-job Bernoulli draws with one binomial draw per
-//! cohort, so reports are *not* bit-identical to the exact engine — the
-//! claim is distributional. These tests validate it the way the mode's
-//! contract states it: the Wilson confidence intervals of the success rate
-//! under each fidelity must overlap.
+//! * ALOHA ([`FixedProbability`]) and one-shot [`Uniform`] are *exactly*
+//!   the cohort model, so job-level Wilson intervals must overlap.
+//! * ALIGNED and PUNCTUAL classes fail a whole class at once, so they are
+//!   compared on trial-level means ([`assert_success_law_match`]).
 //!
-//! Two tiers of strictness:
+//! Within cohort fidelity the bit-exact transforms of `testkit` still
+//! apply; the matrix runs them on the cohort populations.
 //!
-//! * **ALOHA ([`FixedProbability`])** is *exactly* the cohort model
-//!   (Bernoulli(p) each slot, never listening), so the two fidelities
-//!   sample the same distribution and a tight interval must agree.
-//! * **[`Uniform`] (k = 1)** maps to the engine's one-shot model, which is
-//!   also exact (sequential-hazard decomposition of a uniform one-shot
-//!   placement), so its intervals must agree just as tightly.
+//! [`Fidelity::Cohort`]: contention_deadlines::sim::engine::Fidelity::Cohort
 
 mod testkit;
 
 use contention_deadlines::baselines::FixedProbability;
-use contention_deadlines::protocols::{
-    AlignedParams, AlignedProtocol, PunctualParams, PunctualProtocol, Uniform,
-};
-use contention_deadlines::sim::engine::{Engine, EngineConfig, Fidelity};
+use contention_deadlines::protocols::Uniform;
+use contention_deadlines::sim::engine::{Engine, EngineConfig, Protocol};
 use contention_deadlines::sim::job::JobSpec;
 use contention_deadlines::sim::probe::{ProbeEvent, ProbeSpec, SinkSpec};
-use testkit::{assert_success_law_match, assert_wilson_overlap, jammers, success_proportion};
+use testkit::{
+    assert_success_law_match, assert_wilson_overlap, check, grid, population, Pop, ALL, REUSE,
+};
 
+const Z95: f64 = 1.959_963_985;
+
+/// `n` cohort-fidelity jobs over `[0, w)`, all running `protocol`.
+fn batch(n: u32, w: u64, protocol: fn() -> Box<dyn Protocol>) -> Pop {
+    let jobs = (0..n).map(|i| JobSpec::new(i, 0, w)).collect();
+    Pop::new("batch", EngineConfig::default().cohort(), jobs, move |_| {
+        protocol()
+    })
+}
+
+/// n jobs at p = 1/n (contention 1) over 4 windows' worth of slots: enough
+/// contention to exercise the aggregate resolution, enough slack that most
+/// jobs deliver.
 #[test]
 fn aloha_cohort_matches_exact_tightly() {
-    // n jobs at p = 1/n (contention 1) over 4 windows' worth of slots:
-    // enough contention that the aggregate resolution logic is exercised,
-    // enough slack that most jobs deliver. Exact per-slot model match ⇒
-    // the 95% intervals themselves must overlap.
-    let n = 48u32;
-    let p = 1.0 / f64::from(n);
-    let exact = success_proportion(Fidelity::Exact, 300, 1001, n, 256, |_| {
-        Box::new(FixedProbability::new(p))
-    });
-    let cohort = success_proportion(Fidelity::Cohort, 300, 2002, n, 256, |_| {
-        Box::new(FixedProbability::new(p))
-    });
-    assert_wilson_overlap("aloha", exact, cohort, 1.959_963_985);
+    let pop = batch(48, 256, || Box::new(FixedProbability::new(1.0 / 48.0)));
+    assert_wilson_overlap(&pop, 300, [1001, 2002], Z95);
 }
 
+/// Contention 4: most slots collide and the binomial draw is >1 almost
+/// always, stressing "materialize only the sole winner"; z = 3 for the
+/// rarer-event proportion.
 #[test]
 fn aloha_cohort_matches_exact_under_heavy_contention() {
-    // Contention 4: most slots are collisions, deliveries are rare, and
-    // the binomial draw is >1 almost always — stressing the "materialize
-    // only the sole winner" logic. Still the same distribution; allow
-    // z = 3 for the rarer-event proportion.
-    let n = 64u32;
-    let p = 4.0 / f64::from(n);
-    let exact = success_proportion(Fidelity::Exact, 250, 3003, n, 192, |_| {
-        Box::new(FixedProbability::new(p))
-    });
-    let cohort = success_proportion(Fidelity::Cohort, 250, 4004, n, 192, |_| {
-        Box::new(FixedProbability::new(p))
-    });
-    assert_wilson_overlap("aloha-heavy", exact, cohort, 3.0);
+    let pop = batch(64, 192, || Box::new(FixedProbability::new(4.0 / 64.0)));
+    assert_wilson_overlap(&pop, 250, [3003, 4004], 3.0);
 }
 
+/// k = 1 with n jobs in a window of n (the Lemma 4 regime, ≈ 1/e of slots
+/// singletons), and the sparse regime w ≫ n where nearly everyone
+/// succeeds.
 #[test]
 fn uniform_cohort_matches_exact() {
-    // k = 1, n jobs in a window of exactly n: contention 1 per slot, the
-    // Lemma 4 regime where a constant fraction (≈ 1/e of slots become
-    // singletons) succeeds. The one-shot aggregate model samples the same
-    // joint distribution as per-job uniform placement, so the 95%
-    // intervals must overlap.
-    let exact = success_proportion(Fidelity::Exact, 300, 5005, 64, 64, |_| {
-        Box::new(Uniform::single())
-    });
-    let cohort = success_proportion(Fidelity::Cohort, 300, 6006, 64, 64, |_| {
-        Box::new(Uniform::single())
-    });
-    assert_wilson_overlap("uniform", exact, cohort, 1.959_963_985);
-
-    // And in the sparse regime (w ≫ n) where nearly everyone succeeds.
-    let exact = success_proportion(Fidelity::Exact, 300, 7007, 32, 512, |_| {
-        Box::new(Uniform::single())
-    });
-    let cohort = success_proportion(Fidelity::Cohort, 300, 8008, 32, 512, |_| {
-        Box::new(Uniform::single())
-    });
-    assert_wilson_overlap("uniform-sparse", exact, cohort, 1.959_963_985);
+    let uniform = || -> Box<dyn Protocol> { Box::new(Uniform::single()) };
+    assert_wilson_overlap(&batch(64, 64, uniform), 300, [5005, 6006], Z95);
+    assert_wilson_overlap(&batch(32, 512, uniform), 300, [7007, 8008], Z95);
 }
 
+/// The ALIGNED class driver replays the shared schedule once per class and
+/// draws one binomial per slot; the success law must match the exact path
+/// under every adversary, including the data-jammer cells that exercise
+/// the jammed-broadcast-winner exclusion rule. The RNG domains differ
+/// (class stream vs per-job streams), and one bad size estimate fails a
+/// whole class, so the comparison is cluster-robust.
 #[test]
 fn aligned_aggregate_matches_exact_across_jammers() {
-    // The ALIGNED class driver replays the shared schedule once per class
-    // and draws one binomial per slot; the success law must match the exact
-    // path in every adversary regime, including the data-jammer cells that
-    // exercise the jammed-broadcast-winner exclusion rule. The RNG domains
-    // differ (class stream vs per-job streams), so the claim is
-    // distributional — and because one bad size estimate fails a whole
-    // class at once, the comparison must be cluster-robust (trial-level
-    // means, not pooled job-level Wilson intervals).
-    let params = AlignedParams::new(1, 2, 9);
-    for (cell, (name, jammer)) in jammers().into_iter().enumerate() {
-        let base = 20_000 + 100 * cell as u64;
-        assert_success_law_match(
-            &format!("aligned-{name}"),
-            &EngineConfig::aligned(),
-            &EngineConfig::aligned().cohort(),
-            jammer.as_ref(),
-            60,
-            base,
-            24,
-            512,
-            |_| Box::new(AlignedProtocol::new(params)),
-        );
+    let pop = population("cohort-aligned");
+    for (cell, adv) in ALL.split(' ').enumerate() {
+        assert_success_law_match(&pop, adv, 60, 20_000 + 100 * cell as u64);
     }
 }
 
+/// PUNCTUAL's aggregate advances the duty-masked group machine once per
+/// class and materializes only at lone wins, elections and anarchist
+/// conversions; the success law must track the exact path under every
+/// adversary, beacon- and claim-killing jammers included. A class shares
+/// one leader/anarchy fate per trial, so the comparison is cluster-robust.
 #[test]
 fn punctual_aggregate_matches_exact_across_jammers() {
-    // PUNCTUAL's aggregate advances the duty-masked group machine once per
-    // class and materializes only at lone wins, elections, and anarchist
-    // conversions; the end-to-end success law must track the exact path
-    // under every adversary, including beacon-killing and claim-killing
-    // jammers. A whole class shares one leader/anarchy fate per trial, so
-    // the comparison is cluster-robust at the trial level.
-    for (cell, (name, jammer)) in jammers().into_iter().enumerate() {
-        let base = 30_000 + 100 * cell as u64;
-        assert_success_law_match(
-            &format!("punctual-{name}"),
-            &EngineConfig::default(),
-            &EngineConfig::default().cohort(),
-            jammer.as_ref(),
-            40,
-            base,
-            6,
-            1 << 13,
-            |_| Box::new(PunctualProtocol::new(PunctualParams::laptop())),
-        );
+    let pop = population("cohort-punctual");
+    for (cell, adv) in ALL.split(' ').enumerate() {
+        assert_success_law_match(&pop, adv, 40, 30_000 + 100 * cell as u64);
     }
 }
 
+/// Canary against the grids passing because cohort mode fell back to
+/// per-job execution: class drivers stamp their records with no job id —
+/// ALIGNED's size estimates, PUNCTUAL's leader elections.
 #[test]
 fn aggregate_classes_actually_engage() {
-    // Canary against the equivalence grids silently passing because cohort
-    // mode fell back to per-job execution: class drivers stamp their probe
-    // records with no job id, so at least one job-less record must appear
-    // for each protocol under cohort fidelity.
-    let probe = || ProbeSpec::new().with(SinkSpec::Events);
-
-    let mut e = Engine::new(EngineConfig::aligned().cohort().with_probe(probe()), 5);
-    for i in 0..8u32 {
-        e.add_job(
-            JobSpec::new(i, 0, 512),
-            Box::new(AlignedProtocol::new(AlignedParams::new(1, 2, 9))),
-        );
-    }
-    let r = e.run();
-    let events = r.probes.as_ref().unwrap().events().unwrap();
+    let driver_events = |name: &str, seed: u64| {
+        let pop = population(name);
+        let probe = ProbeSpec::new().with(SinkSpec::Events);
+        let mut e = Engine::new(pop.config.with_probe(probe), seed);
+        e.add_jobs(&pop.jobs, |s| (pop.factory)(s));
+        let events = e.run().probes.and_then(|p| p.events().map(<[_]>::to_vec));
+        let driven = events.into_iter().flatten().filter(|rec| rec.job.is_none());
+        driven.map(|rec| rec.event).collect::<Vec<_>>()
+    };
     assert!(
-        events
+        driver_events("cohort-aligned", 5)
             .iter()
-            .any(|rec| rec.job.is_none() && matches!(rec.event, ProbeEvent::SizeEstimate { .. })),
+            .any(|e| matches!(e, ProbeEvent::SizeEstimate { .. })),
         "aligned class driver never engaged"
     );
-
-    let mut found = false;
-    for seed in 0..10u64 {
-        let mut e = Engine::new(EngineConfig::default().cohort().with_probe(probe()), seed);
-        for i in 0..6u32 {
-            e.add_job(
-                JobSpec::new(i, 0, 1 << 13),
-                Box::new(PunctualProtocol::new(PunctualParams::laptop())),
-            );
-        }
-        let r = e.run();
-        let events = r.probes.as_ref().unwrap().events().unwrap();
-        if events
-            .iter()
-            .any(|rec| rec.job.is_none() && matches!(rec.event, ProbeEvent::LeaderElected))
-        {
-            found = true;
-            break;
-        }
-    }
-    assert!(found, "punctual class driver never elected a leader");
+    assert!(
+        (0..10).any(|seed| driver_events("cohort-punctual", seed).contains(&ProbeEvent::LeaderElected)),
+        "punctual class driver never elected a leader"
+    );
 }
 
+/// `contention_stats` must agree between the exact and aggregate paths:
+/// the driver declares `m·p` on sampled steps and `m` on deterministic
+/// ones, mirroring the per-job `tx_probability` sum. Dense and traced on
+/// both sides (contention is tallied only while slots are recorded), on
+/// a clean channel so both paths see the same feedback histories.
 #[test]
 fn aggregate_contention_accounting_matches_exact() {
-    // Satellite: `SimReport.contention` must agree between the exact and
-    // aggregate paths — the driver declares `m·p` on sampled steps and `m`
-    // on deterministic ones, mirroring the per-job `tx_probability` sum.
-    // Dense scheduling plus tracing on both sides (the engine only tallies
-    // contention while a trace sink records), and a clean channel so both
-    // paths see identical feedback histories.
-    let run = |cfg: EngineConfig| {
-        let mut e = Engine::new(cfg.dense().with_trace(), 11);
-        for i in 0..16u32 {
-            e.add_job(
-                JobSpec::new(i, 0, 512),
-                Box::new(AlignedProtocol::new(AlignedParams::new(1, 2, 9))),
-            );
-        }
-        e.run()
-    };
-    let exact = run(EngineConfig::aligned());
-    let agg = run(EngineConfig::aligned().cohort());
+    let pop = population("cohort-aligned");
+    let [exact, agg] = [EngineConfig::aligned(), pop.config.clone()].map(|config| {
+        let mut e = Engine::new(config.dense().with_trace(), 11);
+        e.add_jobs(&pop.jobs, |s| (pop.factory)(s));
+        e.run().contention_stats
+    });
     assert!(
-        exact.contention_stats.measured_slots > 0 && agg.contention_stats.measured_slots > 0,
+        exact.measured_slots > 0 && agg.measured_slots > 0,
         "contention must be measured on both paths"
     );
-    let me = exact.contention_stats.mean().unwrap();
-    let ma = agg.contention_stats.mean().unwrap();
+    let (me, ma) = (exact.mean().unwrap(), agg.mean().unwrap());
     // Same declared-probability law, different coins: means agree within
     // 20% relative (both paths measure hundreds of slots).
     assert!(
@@ -216,23 +140,9 @@ fn aggregate_contention_accounting_matches_exact() {
     );
 }
 
+/// Same seed ⇒ same cohort draws ⇒ an identical report, whether a fresh
+/// engine runs it or one reset after another trial.
 #[test]
 fn cohort_mode_is_deterministic_per_seed() {
-    // Same seed ⇒ same cohort draws ⇒ identical outcomes, independent of
-    // thread scheduling (the cohort stream is derived, not shared).
-    let config = EngineConfig {
-        fidelity: Fidelity::Cohort,
-        ..EngineConfig::default()
-    };
-    let run = || {
-        let mut e = Engine::new(config.clone(), 77);
-        for i in 0..40u32 {
-            e.add_job(
-                JobSpec::new(i, 0, 300),
-                Box::new(FixedProbability::new(0.02)),
-            );
-        }
-        e.run().outcomes().to_vec()
-    };
-    assert_eq!(run(), run());
+    check(&grid("cohort-aloha", ALL, 0..2), &[REUSE]);
 }

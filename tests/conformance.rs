@@ -1,0 +1,39 @@
+//! The conformance matrix beyond its single-transform columns (see
+//! `testkit` for the transforms and their masks): the adversary-swap
+//! branch column, the observer column, duty groups under pause/restore,
+//! and — nightly, via `--include-ignored` — every pair of transforms on
+//! every population.
+
+mod testkit;
+
+use testkit::{check, grid, pairwise, ALL, BRANCH, OBSERVED, POPULATIONS, RESTORE};
+
+/// `Metronome` is the one checkpointable protocol with duty groups: its
+/// members' duty registrations, group schedules and lazily settled
+/// counters must survive a snapshot at every pause.
+#[test]
+fn duty_groups_survive_restore() {
+    check(&grid("metronome", ALL, 0..3), &[RESTORE]);
+}
+
+/// A restored engine that swaps its adversary (`run_branched`) finishes
+/// exactly as the uninterrupted run that swaps inline at the same slot.
+#[test]
+fn branches_match_inline_swaps() {
+    let pops = "pick0 pick2 pick5 class-aloha metronome cohort-mixed";
+    check(&grid(pops, ALL, 0..1), &[BRANCH]);
+}
+
+/// Observers (a trace and probe sinks) change nothing but their own
+/// output, on exact, kernel-fallback, duty-group and cohort-class runs.
+#[test]
+fn observers_change_nothing_but_their_output() {
+    let pops = "mixed metronome aligned-fallback cohort-aligned";
+    check(&grid(pops, "clean reactive", 0..2), &[OBSERVED]);
+}
+
+#[test]
+#[ignore = "nightly: every pair of transforms on every population (run in release)"]
+fn every_pair_of_transforms_on_every_population() {
+    check(&grid(POPULATIONS, ALL, 0..3), &pairwise());
+}

@@ -14,9 +14,10 @@
 //!   activation — [`crng::replay_oneshot`] must name the exact global
 //!   slot of the job's single attempt.
 //!
-//! A recording wrapper logs the full run's actual transmissions (under
-//! the full jammer grid and both scheduling modes); the replay side
-//! never touches the engine — just [`SeedSeq::job_key`] and the draw.
+//! The kit's watch wrapper logs the full run's actual transmissions
+//! (under the full adversary grid and both scheduling modes); the replay
+//! side never touches the engine — just [`SeedSeq::job_key`] and the
+//! draw.
 //!
 //! [`CounterRng`]: contention_deadlines::sim::crng::CounterRng
 //! [`crng::replay_bernoulli`]: contention_deadlines::sim::crng::replay_bernoulli
@@ -27,104 +28,34 @@
 
 mod testkit;
 
-use std::cell::RefCell;
-use std::rc::Rc;
-
 use contention_deadlines::baselines::FixedProbability;
 use contention_deadlines::protocols::Uniform;
 use contention_deadlines::sim::crng;
-use contention_deadlines::sim::engine::{
-    Action, CohortTx, DutyCycle, Engine, EngineConfig, JobCtx, Protocol,
-};
+use contention_deadlines::sim::engine::{Engine, EngineConfig};
 use contention_deadlines::sim::job::JobSpec;
 use contention_deadlines::sim::metrics::{JobOutcome, SimReport};
-use contention_deadlines::sim::probe::ProbeEvent;
 use contention_deadlines::sim::rng::SeedSeq;
-use contention_deadlines::sim::slot::Feedback;
-use rand::RngCore;
-use testkit::jammers;
+use testkit::{jammer, take_watch, watched, ALL};
 
-type TxLog = Rc<RefCell<Vec<(u32, u64)>>>;
-
-/// Transparent wrapper that logs `(job, global slot)` for every
-/// transmission the inner protocol makes, delegating everything else.
-struct Recorded {
-    inner: Box<dyn Protocol>,
-    release: u64,
-    log: TxLog,
-}
-
-impl Protocol for Recorded {
-    fn on_activate(&mut self, ctx: &JobCtx, rng: &mut dyn RngCore) {
-        self.inner.on_activate(ctx, rng);
-    }
-    fn act(&mut self, ctx: &JobCtx, rng: &mut dyn RngCore) -> Action {
-        let action = self.inner.act(ctx, rng);
-        if matches!(action, Action::Transmit(_)) {
-            self.log
-                .borrow_mut()
-                .push((ctx.id, self.release + ctx.local_time));
-        }
-        action
-    }
-    fn on_feedback(&mut self, ctx: &JobCtx, fb: &Feedback, rng: &mut dyn RngCore) {
-        self.inner.on_feedback(ctx, fb, rng);
-    }
-    fn is_done(&self) -> bool {
-        self.inner.is_done()
-    }
-    fn tx_probability(&self, ctx: &JobCtx) -> Option<f64> {
-        self.inner.tx_probability(ctx)
-    }
-    fn next_wake(&self, ctx: &JobCtx) -> Option<u64> {
-        self.inner.next_wake(ctx)
-    }
-    fn duty_cycle(&self, ctx: &JobCtx) -> Option<DutyCycle> {
-        self.inner.duty_cycle(ctx)
-    }
-    fn duty_listen(&self, ctx: &JobCtx, fb: &Feedback) -> bool {
-        self.inner.duty_listen(ctx, fb)
-    }
-    fn cohort_tx(&self, ctx: &JobCtx) -> Option<CohortTx> {
-        self.inner.cohort_tx(ctx)
-    }
-    fn drain_events(&mut self, out: &mut Vec<ProbeEvent>) {
-        self.inner.drain_events(out);
-    }
-}
-
-/// Run `specs` on the exact path with recording wrappers; return the
-/// report and the logged `(job, slot)` transmissions.
+/// Run `specs` as ALOHA jobs (`Some(p)`) or one-shot UNIFORM jobs
+/// (`None`) under `config`, adversary `adv` and `seed`; return the report
+/// and the logged `(job, slot)` transmissions.
 fn record_run(
-    config: EngineConfig,
-    jammer_name: &str,
+    config: &EngineConfig,
+    adv: &'static str,
     seed: u64,
     specs: &[JobSpec],
-    factory: impl Fn(&JobSpec) -> Box<dyn Protocol>,
+    p: Option<f64>,
 ) -> (SimReport, Vec<(u32, u64)>) {
-    let grid = jammers();
-    let (_, jammer) = grid
-        .iter()
-        .find(|(n, _)| *n == jammer_name)
-        .expect("jammer name in grid");
-    let log: TxLog = Rc::new(RefCell::new(Vec::new()));
-    let mut engine = Engine::new(config, seed);
-    if let Some(j) = jammer {
-        engine.set_jammer(j.clone());
-    }
-    for spec in specs {
-        engine.add_job(
-            *spec,
-            Box::new(Recorded {
-                inner: factory(spec),
-                release: spec.release,
-                log: Rc::clone(&log),
-            }),
-        );
-    }
+    let mut engine = Engine::new(config.clone(), seed);
+    engine.set_jammer(jammer(adv).jammer());
+    engine.add_jobs(specs, |s| match p {
+        Some(p) => watched(s, Box::new(FixedProbability::new(p))),
+        None => watched(s, Box::new(Uniform::single())),
+    });
+    take_watch();
     let report = engine.run();
-    let txs = log.borrow().clone();
-    (report, txs)
+    (report, take_watch().1)
 }
 
 /// The last slot in which `spec`'s job was polled: its delivery slot on
@@ -140,12 +71,10 @@ fn last_live_slot(spec: &JobSpec, outcome: &JobOutcome) -> u64 {
 fn aloha_schedule_replays_from_pure_draws() {
     let p = 0.04;
     let specs = testkit::staggered(20, 41, 700);
-    for (jname, _) in jammers() {
+    for jname in ALL.split(' ') {
         for seed in 0..3u64 {
-            for config in [EngineConfig::default(), EngineConfig::default().dense()] {
-                let (report, txs) = record_run(config, jname, seed, &specs, |_| {
-                    Box::new(FixedProbability::new(p))
-                });
+            for config in &[EngineConfig::default(), EngineConfig::default().dense()] {
+                let (report, txs) = record_run(config, jname, seed, &specs, Some(p));
                 let keys = SeedSeq::new(seed);
                 for spec in &specs {
                     let key = keys.job_key(u64::from(spec.id));
@@ -169,11 +98,10 @@ fn aloha_schedule_replays_from_pure_draws() {
 #[test]
 fn oneshot_attempt_replays_from_pure_draw() {
     let specs = testkit::staggered(24, 29, 400);
-    for (jname, _) in jammers() {
+    for jname in ALL.split(' ') {
         for seed in 0..3u64 {
-            for config in [EngineConfig::default(), EngineConfig::default().dense()] {
-                let (_, txs) =
-                    record_run(config, jname, seed, &specs, |_| Box::new(Uniform::single()));
+            for config in &[EngineConfig::default(), EngineConfig::default().dense()] {
+                let (_, txs) = record_run(config, jname, seed, &specs, None);
                 let keys = SeedSeq::new(seed);
                 for spec in &specs {
                     let key = keys.job_key(u64::from(spec.id));
@@ -203,9 +131,7 @@ fn replay_is_positionwise_not_streamwise() {
     let p = 0.07;
     let specs = testkit::staggered(12, 17, 300);
     let seed = 9;
-    let (report, txs) = record_run(EngineConfig::default(), "clean", seed, &specs, |_| {
-        Box::new(FixedProbability::new(p))
-    });
+    let (report, txs) = record_run(&EngineConfig::default(), "clean", seed, &specs, Some(p));
     let keys = SeedSeq::new(seed);
     // A scattered probe order: stride through (job, slot) space backwards.
     for probe in (0..600u64).rev().step_by(7) {
