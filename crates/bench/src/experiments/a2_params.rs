@@ -6,7 +6,7 @@
 //! the cost of more active slots (2λ(ℓ² + n_ℓ − 1) with n_ℓ ∝ τ).
 
 use crate::config::ExpConfig;
-use crate::experiments::util::{aligned_batch, CountedRate};
+use crate::experiments::util::aligned_batch;
 use crate::report::{ExpOutput, ReportBuilder};
 use dcr_core::aligned::params::AlignedParams;
 use dcr_sim::runner::run_trials;
@@ -24,7 +24,6 @@ const N_JOBS: usize = 24;
 struct Cell {
     failure: Proportion,
     mean_slots: f64,
-    slots: u64,
 }
 
 fn sweep(cfg: &ExpConfig, lambda: u64, tau: u64) -> Cell {
@@ -34,11 +33,11 @@ fn sweep(cfg: &ExpConfig, lambda: u64, tau: u64) -> Cell {
         let r = aligned_batch(params, CLASS, N_JOBS, 0.0, seed);
         ((N_JOBS - r.successes()) as u64, r.slots_run)
     });
-    let c = CountedRate::pool(&results, N_JOBS);
+    let failures = results.iter().map(|t| t.value.0).sum();
+    let slots: u64 = results.iter().map(|t| t.value.1).sum();
     Cell {
-        failure: c.rate,
-        mean_slots: c.slots as f64 / trials as f64,
-        slots: c.slots,
+        failure: Proportion::new(failures, results.len() as u64 * N_JOBS as u64),
+        mean_slots: slots as f64 / trials as f64,
     }
 }
 
@@ -81,8 +80,7 @@ pub fn run(cfg: &ExpConfig) -> ExpOutput {
             rb.prop(&id, "per_job_failure", &c.failure)
                 .row(&id, "mean_slots_used", c.mean_slots)
                 .row(&id, "slots_per_window", c.mean_slots / w)
-                .add_trials(cfg.cell_trials(160))
-                .add_slots(c.slots);
+                .add_trials(cfg.cell_trials(160));
             table.row(vec![
                 lambda.to_string(),
                 tau.to_string(),

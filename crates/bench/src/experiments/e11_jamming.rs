@@ -9,14 +9,14 @@
 //! data-only) at `p_jam = 1/2`.
 
 use crate::config::ExpConfig;
-use crate::experiments::util::{run_instance, CountedRate};
+use crate::experiments::util::run_instance;
 use crate::report::{ExpOutput, ReportBuilder};
 use dcr_core::aligned::params::AlignedParams;
 use dcr_core::aligned::protocol::AlignedProtocol;
 use dcr_sim::engine::EngineConfig;
 use dcr_sim::jamming::{JamPolicy, Jammer};
 use dcr_sim::runner::run_trials;
-use dcr_stats::Table;
+use dcr_stats::{Proportion, Table};
 use dcr_workloads::generators::batch;
 
 const CLASS: u32 = 11;
@@ -28,30 +28,33 @@ fn params() -> AlignedParams {
 }
 
 /// E11a: the all-successes adversary at `p_jam`.
-fn sweep_pjam(cfg: &ExpConfig, p_jam: f64) -> CountedRate {
+fn sweep_pjam(cfg: &ExpConfig, p_jam: f64) -> Proportion {
     let seed = cfg.seed ^ ((p_jam * 1000.0) as u64);
     delivery(JamPolicy::AllSuccesses, p_jam, cfg.cell_trials(160), seed)
 }
 
 /// E11b: targeting policy `policy` at `p_jam`.
-fn sweep_policy(cfg: &ExpConfig, policy: JamPolicy, p_jam: f64) -> CountedRate {
+fn sweep_policy(cfg: &ExpConfig, policy: JamPolicy, p_jam: f64) -> Proportion {
     delivery(policy, p_jam, cfg.cell_trials(120), cfg.seed ^ 0xE11)
 }
 
 /// Per-job delivery rate of `trials` batches of `N_JOBS` in one window.
-fn delivery(policy: JamPolicy, p_jam: f64, trials: u64, seed: u64) -> CountedRate {
+fn delivery(policy: JamPolicy, p_jam: f64, trials: u64, seed: u64) -> Proportion {
     let instance = batch(N_JOBS, 1 << CLASS);
     let results = run_trials(trials, seed, |_, seed| {
-        let r = run_instance(
+        run_instance(
             &instance,
             EngineConfig::aligned(),
             Some(Jammer::new(policy, p_jam)),
             seed,
             AlignedProtocol::factory(params()),
-        );
-        (r.successes() as u64, r.slots_run)
+        )
+        .successes() as u64
     });
-    CountedRate::pool(&results, N_JOBS)
+    Proportion::new(
+        results.iter().map(|t| t.value).sum(),
+        results.len() as u64 * N_JOBS as u64,
+    )
 }
 
 /// Run E11.
@@ -80,8 +83,7 @@ pub fn run(cfg: &ExpConfig) -> ExpOutput {
             beyond.push(prop.estimate());
         }
         rb.prop(format!("p_jam={p}"), "per_job_delivery", &prop)
-            .add_trials(cfg.cell_trials(160))
-            .add_slots(prop.slots);
+            .add_trials(cfg.cell_trials(160));
         t1.row(vec![format!("{p:.2}"), prop.to_string()]);
     }
     let mut out = t1.render();
@@ -99,8 +101,7 @@ pub fn run(cfg: &ExpConfig) -> ExpOutput {
     ] {
         let prop = sweep_policy(cfg, policy, 0.5);
         rb.prop(format!("policy={name}"), "per_job_delivery", &prop)
-            .add_trials(cfg.cell_trials(120))
-            .add_slots(prop.slots);
+            .add_trials(cfg.cell_trials(120));
         t2.row(vec![name.to_string(), prop.to_string()]);
     }
     out.push_str(&t2.render());

@@ -121,8 +121,7 @@ pub fn run(cfg: &ExpConfig) -> ExpOutput {
         rb.row(proto, "delivered_fraction", row.delivered)
             .row(proto, "tx_per_job", row.tx_per_job)
             .row(proto, "radio_on_per_job", row.radio_on)
-            .add_trials(cfg.cell_trials(40))
-            .add_slots(cfg.cell_trials(40) * WINDOW);
+            .add_trials(cfg.cell_trials(40));
         table.row(vec![
             proto.to_string(),
             format!("{:.3}", row.delivered),

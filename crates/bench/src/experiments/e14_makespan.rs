@@ -77,8 +77,7 @@ pub fn run(cfg: &ExpConfig) -> ExpOutput {
             let id = format!("{proto},n={n}");
             rb.row(&id, "mean_makespan", s.mean())
                 .row(&id, "makespan_per_job", s.mean() / f64::from(n))
-                .add_trials(cfg.cell_trials(40))
-                .add_slots((s.mean() as u64).saturating_mul(cfg.cell_trials(40)));
+                .add_trials(cfg.cell_trials(40));
             table.row(vec![
                 n.to_string(),
                 format!("{:.0}", s.mean()),

@@ -96,8 +96,7 @@ pub fn run(cfg: &ExpConfig) -> ExpOutput {
             let id = format!("{name},p_jam={p_jam}");
             rb.row(&id, "punctual_delivered", p)
                 .row(&id, "clocked_delivered", c)
-                .add_trials(2 * cfg.cell_trials(60))
-                .add_slots(2 * cfg.cell_trials(60) * WINDOW);
+                .add_trials(2 * cfg.cell_trials(60));
             table.row(vec![
                 name.into(),
                 format!("{p_jam:.2}"),

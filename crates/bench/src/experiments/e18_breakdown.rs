@@ -126,7 +126,6 @@ pub fn run(cfg: &ExpConfig) -> ExpOutput {
     };
     let protos = ["aligned", "punctual", "uniform", "beb", "sawtooth"];
     let instance = batch(N_JOBS, 1 << CLASS);
-    let window = 1u64 << CLASS;
     let all = AdversarySpec::Policy(JamPolicy::AllSuccesses);
 
     let mut rb = ReportBuilder::new(
@@ -158,8 +157,7 @@ pub fn run(cfg: &ExpConfig) -> ExpOutput {
                 "per_job_delivery",
                 &cell.delivered,
             )
-            .add_trials(cell.trials)
-            .add_slots(cell.trials * window);
+            .add_trials(cell.trials);
             t1.row(vec![
                 proto.to_string(),
                 format!("{p:.2}"),
@@ -200,8 +198,7 @@ pub fn run(cfg: &ExpConfig) -> ExpOutput {
             "per_job_delivery",
             &cell.delivered,
         )
-        .add_trials(cell.trials)
-        .add_slots(cell.trials * window);
+        .add_trials(cell.trials);
         burst_deliveries.push(cell.delivered.estimate());
         t2.row(vec![format!("{len:.0}"), cell.delivered.to_string()]);
     }
@@ -262,8 +259,7 @@ pub fn run(cfg: &ExpConfig) -> ExpOutput {
             "mean_jam_attempts",
             cell.mean_attempted,
         )
-        .add_trials(cell.trials)
-        .add_slots(cell.trials * window);
+        .add_trials(cell.trials);
         if let AdversarySpec::Budgeted { budget, .. } = scen.adversary {
             budget_ok &= cell.mean_attempted <= budget as f64 + 1e-9;
         }

@@ -66,7 +66,7 @@ fn est_sweep(cfg: &ExpConfig, n: u32) -> EstCell {
     let trials = cfg.cell_trials(120);
     let params = AlignedParams::new(1, TAU, CLASS);
     let results = run_trials(trials, cfg.seed ^ (u64::from(n) << 24), |_, seed| {
-        probed_estimate(params, CLASS, n as usize, 0.0, seed).0
+        probed_estimate(params, CLASS, n as usize, 0.0, seed)
     });
     let mut in_band = 0u64;
     let mut truth_ok = 0u64;
@@ -197,8 +197,7 @@ pub fn run(cfg: &ExpConfig) -> ExpOutput {
         rb.prop(&id, "p_in_band", &c.in_band)
             .prop(&id, "p_truth_exact", &c.truth_ok)
             .prop(&id, "p_reported", &c.reported)
-            .add_trials(cfg.cell_trials(120))
-            .add_slots(cfg.cell_trials(120) * (1 << CLASS));
+            .add_trials(cfg.cell_trials(120));
         table.row(vec![
             n.to_string(),
             format!("{:.3}", c.reported.estimate()),
@@ -221,8 +220,7 @@ pub fn run(cfg: &ExpConfig) -> ExpOutput {
     rb.prop("leader", "p_elected", &leaders.elected)
         .prop("leader", "p_within_bound", &leaders.within_bound)
         .row("leader", "mean_election_slot", leaders.mean_slot)
-        .add_trials(leader_trials(cfg))
-        .add_slots(leader_trials(cfg) * WINDOW);
+        .add_trials(leader_trials(cfg));
 
     rb.check(
         "lemma8_band_via_probe",

@@ -62,8 +62,7 @@ pub fn run(cfg: &ExpConfig) -> ExpOutput {
         }
         rb.prop(format!("C={c}"), "p_success", &prop)
             .row(format!("C={c}"), "bound_lo", lo)
-            .row(format!("C={c}"), "bound_hi", hi)
-            .add_slots(slots);
+            .row(format!("C={c}"), "bound_hi", hi);
         table.row(vec![
             fnum(c),
             fnum(lo),

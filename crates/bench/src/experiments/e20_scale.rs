@@ -102,11 +102,9 @@ impl Proto {
     }
 }
 
-/// One measured cell: per-trial delivered fractions plus total simulated
-/// slots.
+/// One measured cell: per-trial delivered fractions.
 struct Cell {
     fractions: Vec<f64>,
-    slots: u64,
 }
 
 impl Cell {
@@ -146,7 +144,7 @@ fn run_cell(
     let instance = batch(n as usize, w);
     let class = w.trailing_zeros();
     let results = run_trials(trials, master_seed, |_, seed| {
-        let r = run_instance(
+        run_instance(
             &instance,
             proto.config(aggregate),
             None,
@@ -159,12 +157,11 @@ fn run_cell(
                     Proto::Punctual => Box::new(PunctualProtocol::new(PunctualParams::laptop())),
                 }
             },
-        );
-        (r.success_fraction(), r.slots_run)
+        )
+        .success_fraction()
     });
     Cell {
-        fractions: results.iter().map(|t| t.value.0).collect(),
-        slots: results.iter().map(|t| t.value.1).sum(),
+        fractions: results.iter().map(|t| t.value).collect(),
     }
 }
 
@@ -221,8 +218,7 @@ fn record(rb: &mut ReportBuilder, id: &str, cell: &Cell) {
     } else {
         rb.row(id, "delivered", m);
     }
-    rb.add_trials(cell.fractions.len() as u64)
-        .add_slots(cell.slots);
+    rb.add_trials(cell.fractions.len() as u64);
 }
 
 /// Run E20.

@@ -355,8 +355,7 @@ pub fn run(cfg: &ExpConfig) -> ExpOutput {
     ));
     rb.row("all", "slot_amortization", amort)
         .row("all", "prefix_fraction", prefix_fraction)
-        .add_trials(shared.trials)
-        .add_slots(shared.branched_slots);
+        .add_trials(shared.trials);
 
     // ── Claim checks ─────────────────────────────────────────────────────
     rb.check(

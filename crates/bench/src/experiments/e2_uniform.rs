@@ -72,24 +72,22 @@ fn sweep(
             // Pure one-shot UNIFORM population: the vectorized kernel is
             // bit-identical to the exact path (DESIGN.md §3f) and keeps
             // the large-n cells off the per-job dispatch loop.
-            let r = run_instance(
+            run_instance(
                 &instance,
                 EngineConfig::default().vectorized(),
                 None,
                 seed,
                 |_| Box::new(Uniform::single()),
-            );
-            (r.success_fraction(), r.slots_run)
+            )
+            .success_fraction()
         });
-        let slots: u64 = outcomes.iter().map(|t| t.value.1).sum();
-        let fractions: Vec<f64> = outcomes.into_iter().map(|t| t.value.0).collect();
+        let fractions: Vec<f64> = outcomes.into_iter().map(|t| t.value).collect();
         let s = Summary::from_iter(fractions.iter().copied());
         let cell = format!("{kind},n={n}");
         rb.row(&cell, "mean_fraction", s.mean())
             .row(&cell, "sd", s.std_dev())
             .row(&cell, "min_fraction", s.min())
-            .add_trials(trials)
-            .add_slots(slots);
+            .add_trials(trials);
         means.push(s.mean());
         table.row(vec![
             kind.to_string(),

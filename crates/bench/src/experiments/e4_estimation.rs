@@ -25,7 +25,6 @@ struct Cell {
     in_paper_band: Proportion,
     overestimate: Proportion,
     mean_ratio: f64,
-    slots: u64,
 }
 
 fn sweep(cfg: &ExpConfig, class: u32, n_hat: usize, p_jam: f64, tau: u64) -> Cell {
@@ -34,18 +33,13 @@ fn sweep(cfg: &ExpConfig, class: u32, n_hat: usize, p_jam: f64, tau: u64) -> Cel
     let results = run_trials(
         trials,
         cfg.seed ^ ((n_hat as u64) << 20) ^ ((p_jam * 100.0) as u64),
-        |_, seed| {
-            let (estimate, slots) = probed_estimate(p, class, n_hat, p_jam, seed);
-            (estimate.map_or(0, |(n_est, _)| n_est), slots)
-        },
+        |_, seed| probed_estimate(p, class, n_hat, p_jam, seed).map_or(0, |(n_est, _)| n_est),
     );
     let mut in_band = 0u64;
     let mut over = 0u64;
     let mut ratio_sum = 0.0;
-    let mut slots = 0u64;
     for t in &results {
-        let (est, trial_slots) = t.value;
-        slots += trial_slots;
+        let est = t.value;
         if est >= 2 * n_hat as u64 && est <= tau * tau * n_hat as u64 {
             in_band += 1;
         }
@@ -58,7 +52,6 @@ fn sweep(cfg: &ExpConfig, class: u32, n_hat: usize, p_jam: f64, tau: u64) -> Cel
         in_paper_band: Proportion::new(in_band, trials),
         overestimate: Proportion::new(over, trials),
         mean_ratio: ratio_sum / trials as f64,
-        slots,
     }
 }
 
@@ -99,8 +92,7 @@ pub fn run(cfg: &ExpConfig) -> ExpOutput {
             rb.prop(&id, "p_in_paper_band", &cell.in_paper_band)
                 .prop(&id, "p_overestimate", &cell.overestimate)
                 .row(&id, "mean_ratio", cell.mean_ratio)
-                .add_trials(cfg.cell_trials(240))
-                .add_slots(cell.slots);
+                .add_trials(cfg.cell_trials(240));
             table.row(vec![
                 n_hat.to_string(),
                 format!("{p_jam:.2}"),
@@ -159,9 +151,7 @@ mod tests {
     fn empty_class_run_is_trivial() {
         // With zero jobs there is nobody to report an estimate; the run
         // must terminate immediately and cleanly.
-        let (estimate, slots) = probed_estimate(params(10, 64), 10, 0, 0.0, 5);
-        assert_eq!(estimate, None);
-        assert_eq!(slots, 0);
+        assert_eq!(probed_estimate(params(10, 64), 10, 0, 0.0, 5), None);
         let r = aligned_batch(params(10, 64), 10, 0, 0.0, 5);
         assert_eq!(r.successes(), 0);
         assert_eq!(r.slots_run, 0);

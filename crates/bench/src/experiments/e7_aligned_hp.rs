@@ -7,16 +7,16 @@
 //! sweep of ℓ and two λ values and fit the decay.
 
 use crate::config::ExpConfig;
-use crate::experiments::util::{aligned_batch, CountedRate};
+use crate::experiments::util::aligned_batch;
 use crate::report::{ExpOutput, ReportBuilder};
 use dcr_core::aligned::params::AlignedParams;
 use dcr_sim::runner::run_trials;
-use dcr_stats::{loglog_slope, Table};
+use dcr_stats::{loglog_slope, Proportion, Table};
 
 const N_JOBS: usize = 8;
 
 /// Per-job failure frequency for a batch of `N_JOBS` in window `2^class`.
-fn cell(cfg: &ExpConfig, class: u32, lambda: u64, trials: u64) -> CountedRate {
+fn cell(cfg: &ExpConfig, class: u32, lambda: u64, trials: u64) -> Proportion {
     let seed = cfg.seed ^ (u64::from(class) << 32) ^ lambda;
     failures(class, lambda, N_JOBS, 0.0, trials, seed)
 }
@@ -31,20 +31,22 @@ fn stressed_cell(
     lambda: u64,
     divisor: usize,
     trials: u64,
-) -> CountedRate {
+) -> Proportion {
     let n = ((1usize << class) / divisor).max(1);
     let seed = cfg.seed ^ (u64::from(class) << 40) ^ (lambda << 8) ^ divisor as u64;
     failures(class, lambda, n, 0.5, trials, seed)
 }
 
 /// Per-job failure frequency of `trials` ALIGNED (τ = 2) batches of `n`.
-fn failures(class: u32, lambda: u64, n: usize, p_jam: f64, trials: u64, seed: u64) -> CountedRate {
+fn failures(class: u32, lambda: u64, n: usize, p_jam: f64, trials: u64, seed: u64) -> Proportion {
     let params = AlignedParams::new(lambda, 2, class);
     let results = run_trials(trials, seed, |_, seed| {
-        let r = aligned_batch(params, class, n, p_jam, seed);
-        ((n - r.successes()) as u64, r.slots_run)
+        (n - aligned_batch(params, class, n, p_jam, seed).successes()) as u64
     });
-    CountedRate::pool(&results, n)
+    Proportion::new(
+        results.iter().map(|t| t.value).sum(),
+        results.len() as u64 * n as u64,
+    )
 }
 
 /// Run E7.
@@ -72,8 +74,7 @@ pub fn run(cfg: &ExpConfig) -> ExpOutput {
             let p = cell(cfg, class, *lambda, trials);
             points.push(((1u64 << class) as f64, p.estimate()));
             rb.prop(format!("lambda={lambda},l={class}"), "per_job_failure", &p)
-                .add_trials(trials)
-                .add_slots(p.slots);
+                .add_trials(trials);
             table.row(vec![
                 class.to_string(),
                 (1u64 << class).to_string(),
@@ -135,8 +136,7 @@ pub fn run(cfg: &ExpConfig) -> ExpOutput {
                 "per_job_failure",
                 &p,
             )
-            .add_trials(trials)
-            .add_slots(p.slots);
+            .add_trials(trials);
             table.row(vec![
                 class.to_string(),
                 ((1usize << class) / divisor).max(1).to_string(),

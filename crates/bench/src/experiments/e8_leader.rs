@@ -146,8 +146,7 @@ pub fn run(cfg: &ExpConfig) -> ExpOutput {
         rb.prop(&id, "p_leader_elected", &c.elected)
             .row(&id, "election_slot_contention", c.contention)
             .row(&id, "delivered_fraction", c.delivered)
-            .add_trials(cell_trials(cfg))
-            .add_slots(cell_trials(cfg) * WINDOW);
+            .add_trials(cell_trials(cfg));
         table.row(vec![
             n.to_string(),
             c.elected.to_string(),

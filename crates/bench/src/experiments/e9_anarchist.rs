@@ -121,8 +121,7 @@ pub fn run(cfg: &ExpConfig) -> ExpOutput {
         let id = format!("normal,n={n}");
         rb.row(&id, "delivered_fraction", c.delivered)
             .row(&id, "anarchy_share", c.anarchy_share)
-            .add_trials(cfg.cell_trials(50))
-            .add_slots(cfg.cell_trials(50) * WINDOW);
+            .add_trials(cfg.cell_trials(50));
         t1.row(vec![
             n.to_string(),
             format!("{:.3}", c.delivered),
@@ -143,8 +142,7 @@ pub fn run(cfg: &ExpConfig) -> ExpOutput {
         let id = format!("forced,n={n}");
         rb.row(&id, "delivered_fraction", c.delivered)
             .row(&id, "anarchy_share", c.anarchy_share)
-            .add_trials(cfg.cell_trials(50))
-            .add_slots(cfg.cell_trials(50) * WINDOW);
+            .add_trials(cfg.cell_trials(50));
         t2.row(vec![
             n.to_string(),
             format!("{:.3}", c.delivered),

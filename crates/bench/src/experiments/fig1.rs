@@ -171,8 +171,7 @@ pub fn run(cfg: &ExpConfig) -> ExpOutput {
             "all_jobs_delivered",
             report.successes() == instance.n(),
             format!("{}/{} delivered", report.successes(), instance.n()),
-        )
-        .add_slots(report.slots_run);
+        );
     rb.finish(out)
 }
 

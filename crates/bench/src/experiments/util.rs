@@ -6,10 +6,8 @@ use dcr_sim::jamming::{JamPolicy, Jammer};
 use dcr_sim::message::{ControlMsg, Payload};
 use dcr_sim::metrics::SimReport;
 use dcr_sim::probe::{ProbeEvent, ProbeSpec, SinkSpec};
-use dcr_sim::runner::TrialOutcome;
 use dcr_sim::slot::Feedback;
 use dcr_sim::trace::{SlotOutcome, SlotRecord};
-use dcr_stats::Proportion;
 use dcr_workloads::generators::batch;
 use dcr_workloads::Instance;
 use rand::{Rng, RngCore};
@@ -116,19 +114,17 @@ pub fn aligned_batch(
 
 /// [`aligned_batch`] with an events probe armed. Returns the first
 /// `SizeEstimate` event's `(n_est, n_true)` — `None` if the class never
-/// reported (the window ended mid-estimation) — and the slots the engine
-/// ran.
+/// reported (the window ended mid-estimation).
 pub fn probed_estimate(
     params: AlignedParams,
     class: u32,
     n: usize,
     p_jam: f64,
     seed: u64,
-) -> (Option<(u64, u64)>, u64) {
+) -> Option<(u64, u64)> {
     let config = EngineConfig::aligned().with_probe(ProbeSpec::new().with(SinkSpec::Events));
     let r = run_aligned_batch(config, params, class, n, p_jam, seed);
-    let estimate = r
-        .probes
+    r.probes
         .as_ref()
         .and_then(|p| p.events())
         .expect("events sink configured")
@@ -136,8 +132,7 @@ pub fn probed_estimate(
         .find_map(|rec| match rec.event {
             ProbeEvent::SizeEstimate { n_est, n_true, .. } => Some((n_est, n_true)),
             _ => None,
-        });
-    (estimate, r.slots_run)
+        })
 }
 
 fn run_aligned_batch(
@@ -156,43 +151,6 @@ fn run_aligned_batch(
         seed,
         AlignedProtocol::factory(params),
     )
-}
-
-/// A cell's pooled per-job rate and the slots the engine ran for it. It
-/// derefs to the rate, so callers read it as the [`Proportion`] it is.
-#[derive(Debug, Clone, Copy)]
-pub struct CountedRate {
-    /// Pooled hits over every job of every trial.
-    pub rate: Proportion,
-    /// Summed [`SimReport::slots_run`] over the trials.
-    pub slots: u64,
-}
-
-impl CountedRate {
-    /// Pool trial outcomes `(hits, slots_run)`, each over `jobs` jobs.
-    pub fn pool(results: &[TrialOutcome<(u64, u64)>], jobs: usize) -> Self {
-        CountedRate {
-            rate: Proportion::new(
-                results.iter().map(|t| t.value.0).sum(),
-                results.len() as u64 * jobs as u64,
-            ),
-            slots: results.iter().map(|t| t.value.1).sum(),
-        }
-    }
-}
-
-impl std::ops::Deref for CountedRate {
-    type Target = Proportion;
-
-    fn deref(&self) -> &Proportion {
-        &self.rate
-    }
-}
-
-impl std::fmt::Display for CountedRate {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        self.rate.fmt(f)
-    }
 }
 
 /// Mean of an iterator of f64 (NaN when empty).

@@ -7,7 +7,12 @@
 //! one line per quantity: experiments `param()` their knobs as they pick
 //! them, `row()`/`prop()` each cell as they measure it, `check()` each
 //! claim as they assert it, and `finish()` stamps timing and provenance.
+//! The slot count is the engine's own: the builder reads the calling
+//! thread's tally ([`dcr_sim::engine::thread_slots_executed`]) at `new()`
+//! and at `finish()`, so it covers every engine run the experiment made,
+//! directly or through the trial runner, and nothing another thread ran.
 
+use dcr_sim::engine::thread_slots_executed;
 use dcr_stats::report::SCHEMA_VERSION;
 use dcr_stats::{CheckResult, ExperimentReport, MetricRow, Param, Proportion, Provenance, Timing};
 use std::fmt::Display;
@@ -24,14 +29,15 @@ pub struct ExpOutput {
 }
 
 /// Incremental [`ExperimentReport`] builder used inside experiment `run`
-/// functions. Construction records the start instant; [`finish`] computes
-/// wall-clock timing and captures provenance.
+/// functions. Construction records the start instant and the thread's
+/// slot tally; [`finish`] computes wall-clock timing and the slots
+/// executed in between, and captures provenance.
 ///
 /// [`finish`]: ReportBuilder::finish
 pub struct ReportBuilder {
     report: ExperimentReport,
     started: Instant,
-    slots: u64,
+    slots_before: u64,
     trials: u64,
 }
 
@@ -53,7 +59,7 @@ impl ReportBuilder {
                 provenance: Provenance::default(),
             },
             started: Instant::now(),
-            slots: 0,
+            slots_before: thread_slots_executed(),
             trials: 0,
         }
     }
@@ -152,13 +158,6 @@ impl ReportBuilder {
         self
     }
 
-    /// Account `slots` simulated channel slots toward the throughput
-    /// numbers.
-    pub fn add_slots(&mut self, slots: u64) -> &mut Self {
-        self.slots += slots;
-        self
-    }
-
     /// Account `trials` executed Monte-Carlo trials.
     pub fn add_trials(&mut self, trials: u64) -> &mut Self {
         self.trials += trials;
@@ -169,6 +168,7 @@ impl ReportBuilder {
     /// pair the artifact with its rendered text.
     pub fn finish(mut self, text: String) -> ExpOutput {
         let wall = self.started.elapsed().as_secs_f64();
+        let slots = thread_slots_executed() - self.slots_before;
         self.report.timing = Timing {
             wall_secs: wall,
             trials: self.trials,
@@ -177,9 +177,9 @@ impl ReportBuilder {
             } else {
                 0.0
             },
-            slots_simulated: self.slots,
-            slots_per_sec: if self.slots > 0 && wall > 0.0 {
-                self.slots as f64 / wall
+            slots_simulated: slots,
+            slots_per_sec: if slots > 0 && wall > 0.0 {
+                slots as f64 / wall
             } else {
                 0.0
             },
@@ -207,7 +207,6 @@ mod tests {
             .row_ci("cell_b", "estimated", 0.5, (0.4, 0.6), 100)
             .prop("cell_c", "proportion", &Proportion::new(30, 60))
             .check("claim", true, "held everywhere")
-            .add_slots(10_000)
             .add_trials(60);
         let out = b.finish("text body".into());
         assert_eq!(out.text, "text body");
@@ -219,13 +218,82 @@ mod tests {
         assert_eq!(r.rows.len(), 3);
         assert!(r.all_checks_passed());
         assert_eq!(r.timing.trials, 60);
-        assert_eq!(r.timing.slots_simulated, 10_000);
         assert!(r.timing.wall_secs >= 0.0);
         assert!(r.provenance.threads >= 1);
         // The proportion row carries its Wilson interval and count.
         let row = r.row("cell_c", "proportion").unwrap();
         assert_eq!(row.n, Some(60));
         assert!(row.ci_lo.unwrap() < 0.5 && row.ci_hi.unwrap() > 0.5);
+    }
+
+    // Two threads simulate at once; each report counts exactly the slots
+    // of its own thread's runs (a trial batch, a branched sweep and a
+    // direct run), none of the other's.
+    #[test]
+    fn slot_count_is_the_threads_own_engine_count() {
+        use crate::experiments::util::PersistentP;
+        use dcr_sim::engine::{Engine, EngineConfig, Protocol};
+        use dcr_sim::jamming::{AdversarySpec, JamPolicy};
+        use dcr_sim::job::JobSpec;
+        use dcr_sim::runner::{run_branched, run_trials, BranchSpec};
+
+        // `window` differs per thread, so the two totals differ too.
+        let work = |window: u64| {
+            let b = ReportBuilder::new("e0", "demo", &ExpConfig::quick());
+            let jobs: Vec<JobSpec> = (0..4).map(|i| JobSpec::new(i, 0, window)).collect();
+            let factory = |_: &JobSpec| -> Box<dyn Protocol> { Box::new(PersistentP(0.2)) };
+            let run = |seed| {
+                let mut e = Engine::new(EngineConfig::default(), seed);
+                e.add_jobs(&jobs, factory);
+                e.run().slots_run
+            };
+            let batch: u64 = run_trials(8, window, |_, seed| run(seed))
+                .iter()
+                .map(|t| t.value)
+                .sum();
+            let branches: Vec<BranchSpec> = [0.3, 0.6]
+                .iter()
+                .map(|&p_jam| BranchSpec {
+                    label: format!("p{p_jam}"),
+                    adversary: AdversarySpec::Policy(JamPolicy::AllSuccesses),
+                    p_jam,
+                })
+                .collect();
+            let never = AdversarySpec::Policy(JamPolicy::Never);
+            let br = run_branched(
+                &EngineConfig::default(),
+                window,
+                &jobs,
+                factory,
+                &never,
+                0.0,
+                window / 2,
+                &branches,
+            )
+            .expect("branched run");
+            let branched: u64 = br.prefix_slot
+                + br.reports
+                    .iter()
+                    .map(|r| r.slots_run - br.prefix_slot)
+                    .sum::<u64>();
+            let own = batch + branched + run(1);
+            (b.finish(String::new()).report.timing.slots_simulated, own)
+        };
+        let barrier = std::sync::Barrier::new(2);
+        std::thread::scope(|s| {
+            let handles = [3_000, 5_000].map(|w| {
+                let (barrier, work) = (&barrier, &work);
+                s.spawn(move || {
+                    barrier.wait();
+                    work(w)
+                })
+            });
+            for h in handles {
+                let (counted, own) = h.join().expect("worker thread");
+                assert!(own > 0);
+                assert_eq!(counted, own);
+            }
+        });
     }
 
     // Regression for the NaN-to-null artifact corruption: a non-finite

@@ -453,11 +453,25 @@ struct TrialStat {
 pub fn check(spec: &ExperimentSpec) -> Result<Instance, SpecError> {
     spec.validate()?;
     let instance = spec.instance();
-    if matches!(spec.protocol, ProtocolSpec::Aligned { .. }) && !instance.is_aligned() {
-        return Err(err(
-            "Aligned protocol requires a power-of-2-aligned workload \
-             (every window a power of two, every release a multiple of it)",
-        ));
+    if let ProtocolSpec::Aligned { min_class, .. } = spec.protocol {
+        if !instance.is_aligned() {
+            return Err(err(
+                "Aligned protocol requires a power-of-2-aligned workload \
+                 (every window a power of two, every release a multiple of it)",
+            ));
+        }
+        // A window below 2^min_class has no class the protocol can run.
+        if let Some(j) = instance
+            .jobs
+            .iter()
+            .find(|j| j.window().checked_shr(min_class).unwrap_or(0) == 0)
+        {
+            return Err(err(format!(
+                "Aligned.min_class {min_class} exceeds the workload: job {} has window {} < 2^{min_class}",
+                j.id,
+                j.window()
+            )));
+        }
     }
     Ok(instance)
 }
@@ -539,7 +553,27 @@ pub fn run_spec_with<P>(
 where
     P: Fn(u64, u64) + Sync,
 {
+    run_spec_timed(spec, progress, cancel).map(|(out, _)| out)
+}
+
+/// [`run_spec_with`], also returning the trial batch's [`RunStats`].
+fn run_spec_timed<P>(
+    spec: &ExperimentSpec,
+    progress: P,
+    cancel: &CancelToken,
+) -> Result<(SpecOutput, RunStats), RunSpecError>
+where
+    P: Fn(u64, u64) + Sync,
+{
     let instance = check(spec)?;
+    let cfg = ExpConfig {
+        seed: spec.seed,
+        trials: spec.trials,
+        quick: false,
+        probe_dir: None,
+    };
+    // Built before the trials run, so its timing and slot count cover them.
+    let b = ReportBuilder::new("spec", spec.label(), &cfg);
 
     // Trial 0 carries the probe sinks; an event-log sink is appended when
     // missing so the server always has a record stream to serve. The
@@ -593,22 +627,16 @@ where
     let (outcomes, stats): (Vec<TrialOutcome<TrialStat>>, RunStats) =
         run_trials_ctl(spec.trials, spec.seed, trial, progress, cancel)?;
 
-    Ok(assemble_output(spec, &instance, outcomes, stats))
+    Ok((assemble_output(b, spec, &instance, outcomes, stats), stats))
 }
 
 fn assemble_output(
+    mut b: ReportBuilder,
     spec: &ExperimentSpec,
     instance: &Instance,
     outcomes: Vec<TrialOutcome<TrialStat>>,
     stats: RunStats,
 ) -> SpecOutput {
-    let cfg = ExpConfig {
-        seed: spec.seed,
-        trials: spec.trials,
-        quick: false,
-        probe_dir: None,
-    };
-    let mut b = ReportBuilder::new("spec", spec.label(), &cfg);
     b.param("protocol", format!("{:?}", spec.protocol))
         .param("workload", format!("{:?}", spec.workload))
         .param("fidelity", format!("{:?}", spec.fidelity))
@@ -661,7 +689,7 @@ fn assemble_output(
     if jobs > 0 {
         b.row("all", "mean_accesses", accesses_sum / jobs as f64);
     }
-    b.add_trials(spec.trials).add_slots(slots);
+    b.add_trials(spec.trials);
 
     let text = format!(
         "{label}\n\
@@ -829,6 +857,48 @@ mod tests {
             Err(RunSpecError::Invalid(_)) => {}
             other => panic!("expected Invalid, got {other:?}"),
         }
+    }
+
+    #[test]
+    fn min_class_above_the_workload_is_a_typed_error() {
+        for (min_class, n, w) in [(12, 4, 128), (60, 8, 64)] {
+            let spec = ExperimentSpec {
+                protocol: ProtocolSpec::Aligned {
+                    lambda: 1,
+                    tau: 2,
+                    min_class,
+                },
+                workload: WorkloadSpec::Batch { n, w },
+                ..quick_spec()
+            };
+            let e = check(&spec).expect_err("window below 2^min_class");
+            assert!(e.0.contains("min_class"), "{e}");
+            assert!(matches!(run_spec(&spec), Err(RunSpecError::Invalid(_))));
+        }
+        // A window of exactly 2^min_class runs.
+        let spec = ExperimentSpec {
+            workload: WorkloadSpec::Batch { n: 4, w: 64 },
+            ..quick_spec()
+        };
+        assert!(check(&spec).is_ok());
+    }
+
+    #[test]
+    fn spec_timing_covers_the_trials() {
+        let spec = ExperimentSpec {
+            trials: 16,
+            ..quick_spec()
+        };
+        let (out, stats) = run_spec_timed(&spec, |_, _| {}, &CancelToken::new()).unwrap();
+        let timing = &out.report.timing;
+        assert!(
+            timing.wall_secs >= stats.wall.as_secs_f64(),
+            "{timing:?} vs {stats:?}"
+        );
+        let per_trial = out.report.row("all", "slots_per_trial").unwrap().value;
+        let slots_run = (per_trial * spec.trials as f64).round() as u64;
+        assert!(slots_run > 0);
+        assert_eq!(timing.slots_simulated, slots_run);
     }
 
     #[test]

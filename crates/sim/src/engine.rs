@@ -658,17 +658,44 @@ mod arena {
     }
 }
 
-/// Process-lifetime total of channel slots executed by every engine run
+/// Process-lifetime total of channel slots executed by every engine
 /// (all threads, all trials). See [`slots_executed_total`].
 static SLOTS_EXECUTED_TOTAL: std::sync::atomic::AtomicU64 = std::sync::atomic::AtomicU64::new(0);
 
-/// Total channel slots executed by all [`Engine::run`] calls in this
-/// process so far — the process-wide view of the per-report
-/// [`SimReport::slots_run`] counter. Monotone; never reset. This is how
-/// an outside observer (e.g. the experiment server's cache tests) proves
-/// that serving a result "from cache" really executed zero new slots.
+thread_local! {
+    /// Slots executed on behalf of this thread. See [`thread_slots_executed`].
+    static THREAD_SLOTS: std::cell::Cell<u64> = const { std::cell::Cell::new(0) };
+}
+
+/// Total channel slots executed by every engine in this process so far
+/// (monotone, never reset). Counted where the slot loop returns: a
+/// [`Engine::run_to`] prefix at its pause, the rest at [`Engine::finish`],
+/// a [`Engine::restore`]d run only after its checkpoint. The experiment
+/// server's cache tests use it to prove a cached answer ran no slot.
 pub fn slots_executed_total() -> u64 {
     SLOTS_EXECUTED_TOTAL.load(std::sync::atomic::Ordering::Relaxed)
+}
+
+/// The slots of [`slots_executed_total`] executed on behalf of the calling
+/// thread: by engines it ran itself, plus those its [`crate::runner`]
+/// workers ran, credited when they join. Monotone; never reset. The delta
+/// around a piece of work is that work's exact slot count, even while
+/// other threads simulate concurrently.
+pub fn thread_slots_executed() -> u64 {
+    THREAD_SLOTS.with(std::cell::Cell::get)
+}
+
+/// Credit `slots` executed by a joined worker to the calling thread.
+pub(crate) fn credit_thread_slots(slots: u64) {
+    THREAD_SLOTS.with(|t| t.set(t.get() + slots));
+}
+
+/// The one place executed slots are counted: the process total, its
+/// registry mirror and the calling thread's tally.
+fn count_executed(slots: u64) {
+    SLOTS_EXECUTED_TOTAL.fetch_add(slots, std::sync::atomic::Ordering::Relaxed);
+    crate::telemetry::SLOTS_SIMULATED.add(slots);
+    credit_thread_slots(slots);
 }
 
 /// Everything a run carries between slots, parked on the engine while it
@@ -688,10 +715,6 @@ struct RunState {
     jam_rng: ChaCha8Rng,
     /// The next slot boundary to execute.
     slot: u64,
-    /// The slot this engine started executing at — 0 unless the run was
-    /// [`Engine::restore`]d from a checkpoint. Exactly `slot - base_slot`
-    /// slots were executed by *this* engine.
-    base_slot: u64,
     /// Wall nanoseconds accumulated across `step_until` calls.
     engine_nanos: u64,
     /// The loop hit a terminal condition (horizon, cap, or all jobs dead);
@@ -950,7 +973,6 @@ impl Engine {
             contention_sum: 0.0,
             jam_rng: self.seeds.rng(StreamLabel::Jammer, 0),
             slot: 0,
-            base_slot: 0,
             engine_nanos: 0,
             done: false,
             aligned: self.config.expose_aligned_clock,
@@ -968,6 +990,7 @@ impl Engine {
             return;
         }
         let started = std::time::Instant::now();
+        let entry_slot = st.slot;
         st.strikes_idle = self.jammer.strikes_idle();
         let mut paused = false;
         while st.slot < st.max_slots {
@@ -999,6 +1022,7 @@ impl Engine {
             st.slot += 1;
         }
         st.engine_nanos += started.elapsed().as_nanos().min(u128::from(u64::MAX)) as u64;
+        count_executed(st.slot - entry_slot);
         // A natural exit (horizon, cap, or the all-dead break) means only
         // the epilogue remains; a pause leaves the loop resumable.
         st.done = !paused;
@@ -1622,7 +1646,6 @@ impl Engine {
             mut sched_stats,
             contention_sum,
             slot,
-            base_slot,
             engine_nanos,
             wants_slots,
             probed,
@@ -1691,12 +1714,6 @@ impl Engine {
         let specs: Vec<JobSpec> = self.jobs.specs.clone();
         let outcomes: Vec<JobOutcome> = self.jobs.outcomes.iter().map(|o| o.unwrap()).collect();
         let accesses: Vec<AccessCounts> = self.jobs.accesses.clone();
-        // Process-wide counters account slots *this engine executed*: a
-        // checkpoint-restored run contributes only its suffix, so prefix
-        // slots are never double-counted across branches.
-        let executed = slot - base_slot;
-        SLOTS_EXECUTED_TOTAL.fetch_add(executed, std::sync::atomic::Ordering::Relaxed);
-        crate::telemetry::SLOTS_SIMULATED.add(executed);
         SimReport::new(
             specs,
             outcomes,
@@ -1911,7 +1928,6 @@ impl Engine {
         // restores.)
         let st = self.run_state.as_mut().expect("begin installs run state");
         st.slot = ck.slot;
-        st.base_slot = ck.slot;
         st.next_pending = ck.next_pending as usize;
         st.counts = ck.counts;
         st.sched_stats.gap_skips = ck.gap_skips;

@@ -23,7 +23,7 @@
 //! benchmarking on heterogeneous CI machines.
 
 use crate::checkpoint::{Checkpoint, CheckpointError};
-use crate::engine::{Engine, EngineConfig, Protocol};
+use crate::engine::{credit_thread_slots, thread_slots_executed, Engine, EngineConfig, Protocol};
 use crate::jamming::AdversarySpec;
 use crate::job::JobSpec;
 use crate::metrics::SimReport;
@@ -31,7 +31,7 @@ use crate::rng::SeedSeq;
 use serde::{Deserialize, Serialize};
 use std::num::NonZeroUsize;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 /// Typed failure of a trial batch (see [`run_trials_ctl`]).
@@ -272,6 +272,7 @@ where
         let handles: Vec<_> = (0..workers)
             .map(|_| {
                 scope.spawn(|_| {
+                    let slots_before = thread_slots_executed();
                     // Work-stealing via a shared atomic counter: trials can
                     // have very uneven durations (window sizes span
                     // decades), so static striping would leave threads idle.
@@ -307,13 +308,15 @@ where
                         crate::telemetry::TRIALS_COMPLETED.add(unflushed);
                         progress(done, trials);
                     }
-                    mine
+                    // Hand back this worker's slots, to credit the caller.
+                    (mine, thread_slots_executed() - slots_before)
                 })
             })
             .collect();
         for h in handles {
             match h.join() {
-                Ok(outcomes) => {
+                Ok((outcomes, executed)) => {
+                    credit_thread_slots(executed);
                     for outcome in outcomes {
                         let idx = outcome.trial as usize;
                         debug_assert!(slots[idx].is_none(), "trial {idx} ran twice");
@@ -419,9 +422,9 @@ pub struct BranchedRun {
 /// [`Engine::snapshot`] requirements: no trace, no probes, and live
 /// protocols that implement state capture.
 ///
-/// Branches run on the Monte-Carlo worker pool (work-stealing, same
-/// thread-count rules as [`run_trials`]). A branch-worker panic is
-/// propagated; a restore refusal (which indicates a bug or a
+/// Branches run as the trials of one [`run_trials`] batch (work-stealing,
+/// same thread-count rules), one trial per branch. A branch-worker panic
+/// is propagated; a restore refusal (which indicates a bug or a
 /// non-checkpointable feature, never a data race) is returned as the
 /// first error encountered in branch order.
 #[allow(clippy::too_many_arguments)] // one flat call is the whole API; a builder would obscure it
@@ -446,42 +449,26 @@ where
     let checkpoint = prefix.snapshot()?;
     drop(prefix);
 
-    // Suffix fan-out: work-stealing over branch indices, like
-    // `run_trials_ctl` (branch suffixes share the same uneven-duration
-    // concern once adversaries diverge).
-    let workers = worker_count(branches.len() as u64);
-    let next = AtomicU64::new(0);
-    let slots: Mutex<Vec<Option<Result<SimReport, CheckpointError>>>> =
-        Mutex::new((0..branches.len()).map(|_| None).collect());
-    crossbeam::scope(|scope| {
-        for _ in 0..workers {
-            scope.spawn(|_| loop {
-                let i = next.fetch_add(1, Ordering::Relaxed) as usize;
-                if i >= branches.len() {
-                    break;
-                }
-                let spec = &branches[i];
-                // Rebuild the prefix engine's exact inputs, then replay
-                // the checkpoint over them and perturb the future.
-                let mut e = Engine::new(config.clone(), seed);
-                e.add_jobs(jobs, |s| factory(s));
-                e.set_jammer(base_adversary.jammer(base_p_jam));
-                let out = e.restore(&checkpoint).map(|()| {
-                    e.swap_adversary(spec.adversary.adversary(), spec.p_jam);
-                    let report = e.finish();
-                    crate::telemetry::BRANCH_RUNS.add(1);
-                    report
-                });
-                slots.lock().expect("branch slots poisoned")[i] = Some(out);
-            });
-        }
-    })
-    .unwrap_or_else(|payload| std::panic::resume_unwind(payload));
-
-    let mut reports = Vec::with_capacity(branches.len());
-    for out in slots.into_inner().expect("branch slots poisoned") {
-        reports.push(out.expect("every branch index is claimed exactly once")?);
-    }
+    // Suffix fan-out: one trial per branch (the trial seed goes unused;
+    // every branch replays the prefix's seed).
+    let outcomes = run_trials(branches.len() as u64, seed, |i, _| {
+        let spec = &branches[i as usize];
+        // Rebuild the prefix engine's exact inputs, then replay the
+        // checkpoint over them and perturb the future.
+        let mut e = Engine::new(config.clone(), seed);
+        e.add_jobs(jobs, |s| factory(s));
+        e.set_jammer(base_adversary.jammer(base_p_jam));
+        e.restore(&checkpoint).map(|()| {
+            e.swap_adversary(spec.adversary.adversary(), spec.p_jam);
+            let report = e.finish();
+            crate::telemetry::BRANCH_RUNS.add(1);
+            report
+        })
+    });
+    let reports = outcomes
+        .into_iter()
+        .map(|t| t.value)
+        .collect::<Result<Vec<SimReport>, CheckpointError>>()?;
     Ok(BranchedRun {
         checkpoint,
         prefix_slot,

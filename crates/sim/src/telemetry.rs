@@ -7,12 +7,13 @@
 //! and the counted hot paths execute the exact pre-telemetry instruction
 //! stream. The flush sites are deliberately coarse:
 //!
-//! - trials started: once per [`run_trials_ctl`] batch entry;
+//! - trials started: once per [`run_trials_ctl`] batch entry (the
+//!   suffixes of a `run_branched` sweep are one such batch);
 //! - trials completed: at the runner's existing batched progress
 //!   flushes (so telemetry piggybacks on work the runner already does);
 //! - trials panicked / cancelled: once, on the error return path;
-//! - slots simulated: once per `Engine::run`, next to the existing
-//!   [`slots_executed_total`] process counter.
+//! - slots simulated: once per slot-loop call (each `run_to` pause and
+//!   `finish`), next to the [`slots_executed_total`] process counter.
 //!
 //! [`run_trials_ctl`]: crate::runner::run_trials_ctl
 //! [`slots_executed_total`]: crate::engine::slots_executed_total
@@ -45,8 +46,9 @@ pub static TRIALS_CANCELLED: LazyCounter = LazyCounter::new(
     "Monte-Carlo trials abandoned by cooperative cancellation.",
 );
 
-/// Channel slots executed across every `Engine::run` (flushed once per
-/// run — the registry mirror of `engine::slots_executed_total`).
+/// Channel slots executed across every engine run (flushed at each
+/// `run_to` pause and at `finish` — the registry mirror of
+/// `engine::slots_executed_total`).
 pub static SLOTS_SIMULATED: LazyCounter = LazyCounter::new(
     "dcr_sim_slots_simulated_total",
     "Channel slots executed across all engine runs.",
