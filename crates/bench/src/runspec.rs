@@ -115,25 +115,10 @@ pub enum WorkloadSpec {
     },
 }
 
-/// Serializable mirror of [`dcr_sim::Fidelity`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub enum FidelitySpec {
-    /// Every job stepped individually every slot.
-    Exact,
-    /// Statistically identical cohort aggregation where profiles allow.
-    Cohort,
-    /// Counter-based vectorized kernel where profiles allow.
-    Vectorized,
-}
-
-/// Serializable mirror of [`dcr_sim::Scheduling`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub enum SchedulingSpec {
-    /// Skip slots no job can act in (wake hints).
-    EventDriven,
-    /// Poll every live job every slot.
-    Dense,
-}
+/// A spec's fidelity field: [`dcr_sim::Fidelity`] under its spec name.
+pub use dcr_sim::Fidelity as FidelitySpec;
+/// A spec's scheduling field: [`dcr_sim::Scheduling`] under its spec name.
+pub use dcr_sim::Scheduling as SchedulingSpec;
 
 /// An adversary plus the constant jam success probability of the model.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -157,9 +142,9 @@ pub struct ExperimentSpec {
     /// Arrival pattern.
     pub workload: WorkloadSpec,
     /// Simulation fidelity tier.
-    pub fidelity: FidelitySpec,
+    pub fidelity: Fidelity,
     /// Slot-loop scheduling strategy.
-    pub scheduling: SchedulingSpec,
+    pub scheduling: Scheduling,
     /// Optional jamming adversary.
     pub adversary: Option<AdversaryCell>,
     /// Optional probe sinks, attached to trial 0 only (the probe layer is
@@ -314,6 +299,17 @@ impl ExperimentSpec {
                 return Err(err("adversary.p_jam must be in [0, 1]"));
             }
         }
+        for sink in self.probe.iter().flat_map(|p| &p.sinks) {
+            match sink {
+                SinkSpec::Ring { capacity: 0 } => {
+                    return Err(err("probe Ring.capacity must be >= 1"));
+                }
+                SinkSpec::Sample { period: 0 } => {
+                    return Err(err("probe Sample.period must be >= 1"));
+                }
+                _ => {}
+            }
+        }
         Ok(())
     }
 
@@ -356,15 +352,8 @@ impl ExperimentSpec {
             _ => EngineConfig::default(),
         };
         cfg.max_slots = self.max_slots;
-        cfg.scheduling = match self.scheduling {
-            SchedulingSpec::EventDriven => Scheduling::EventDriven,
-            SchedulingSpec::Dense => Scheduling::Dense,
-        };
-        cfg.fidelity = match self.fidelity {
-            FidelitySpec::Exact => Fidelity::Exact,
-            FidelitySpec::Cohort => Fidelity::Cohort,
-            FidelitySpec::Vectorized => Fidelity::Vectorized,
-        };
+        cfg.scheduling = self.scheduling;
+        cfg.fidelity = self.fidelity;
         cfg
     }
 
@@ -735,8 +724,8 @@ mod tests {
                 min_class: 6,
             },
             workload: WorkloadSpec::Batch { n: 8, w: 64 },
-            fidelity: FidelitySpec::Exact,
-            scheduling: SchedulingSpec::EventDriven,
+            fidelity: Fidelity::Exact,
+            scheduling: Scheduling::EventDriven,
             adversary: Some(AdversaryCell {
                 spec: AdversarySpec::Policy(JamPolicy::Never),
                 p_jam: 0.0,
@@ -804,7 +793,7 @@ mod tests {
         assert_ne!(cache_key(&jam, "v1"), key, "p_jam must be semantic");
 
         let mut fid = base.clone();
-        fid.fidelity = FidelitySpec::Cohort;
+        fid.fidelity = Fidelity::Cohort;
         assert_ne!(cache_key(&fid, "v1"), key, "fidelity must be semantic");
 
         assert_ne!(cache_key(&base, "v2"), key, "code version must invalidate");
@@ -817,8 +806,8 @@ mod tests {
         let spec = ExperimentSpec {
             protocol: ProtocolSpec::Uniform { attempts: 1 },
             workload: WorkloadSpec::Batch { n: 4, w: 16 },
-            fidelity: FidelitySpec::Exact,
-            scheduling: SchedulingSpec::EventDriven,
+            fidelity: Fidelity::Exact,
+            scheduling: Scheduling::EventDriven,
             adversary: None,
             probe: None,
             max_slots: None,
@@ -848,6 +837,22 @@ mod tests {
         let mut s = quick_spec();
         s.protocol = ProtocolSpec::Aloha { p: 1.5 };
         assert!(s.validate().is_err());
+
+        // Zero-sized probe sinks would panic a worker at sink build time.
+        for sink in [
+            SinkSpec::Ring { capacity: 0 },
+            SinkSpec::Sample { period: 0 },
+        ] {
+            let mut s = quick_spec();
+            s.probe = Some(ProbeSpec {
+                sinks: vec![sink.clone()],
+            });
+            assert!(s.validate().is_err(), "{sink:?}");
+            assert!(
+                matches!(run_spec(&s), Err(RunSpecError::Invalid(_))),
+                "{sink:?}"
+            );
+        }
 
         // Aligned on an unaligned workload fails at run time with a typed
         // error, not a panic.

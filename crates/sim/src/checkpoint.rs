@@ -30,10 +30,12 @@
 //!   ([`crate::classes::ClassDriver::save_state`]);
 //! * the vectorized kernel's buckets and one-shot calendar;
 //! * the jammer's counters and adversary state
-//!   ([`crate::jamming::Adversary::save_state`]);
-//! * the word positions of the two stateful RNG streams (jammer, cohort).
-//!   Everything else draws from counter-based streams that are pure
-//!   functions of `(key, slot, phase)` and need no capture at all.
+//!   ([`crate::jamming::Adversary::save_state`]).
+//!
+//! No RNG state: every draw the engine makes — jobs, classes, cohorts and
+//! the jammer — is a counter-based position, a pure function of
+//! `(key, slot, phase)` (DESIGN.md §3f), so the slot cursor is the only
+//! position a resumed run needs.
 //!
 //! ## What a checkpoint does *not* capture
 //!
@@ -62,7 +64,7 @@ use std::fmt;
 
 /// Version tag of the checkpoint wire format. Bump on any layout change;
 /// [`crate::engine::Engine::restore`] rejects other versions.
-pub const CHECKPOINT_VERSION: u32 = 2;
+pub const CHECKPOINT_VERSION: u32 = 3;
 
 /// A complete engine-state image at a slot boundary. See the
 /// [module docs](self) for the capture contract.
@@ -91,10 +93,6 @@ pub struct Checkpoint {
     /// Raw bits of the running declared-contention sum (`f64::to_bits`;
     /// bit-exact round-trip through JSON).
     pub contention_sum_bits: u64,
-    /// Word position of the jammer's ChaCha stream.
-    pub jam_word_pos: u64,
-    /// Word position of the cohort stream (`Some` iff cohort fidelity).
-    pub cohort_word_pos: Option<u64>,
     /// Per-job outcomes so far (indexed by job id).
     pub outcomes: Vec<Option<JobOutcome>>,
     /// Per-job channel-access counters (indexed by job id).
@@ -388,7 +386,7 @@ mod tests {
         let mut set = crate::cohort::CohortSet::default();
         set.insert(crate::engine::CohortTx::OneShot, 256, 5);
         set.insert(crate::engine::CohortTx::Constant { p: 0.1 }, 256, 7);
-        let (cohorts, _) = set.save();
+        let cohorts = set.save();
         let ck = Checkpoint {
             version: CHECKPOINT_VERSION,
             fingerprint: 0xdead_beef,
@@ -405,8 +403,6 @@ mod tests {
             gap_skips: 2,
             gap_slots: 40,
             contention_sum_bits: 1.75f64.to_bits(),
-            jam_word_pos: 64,
-            cohort_word_pos: Some(16),
             outcomes: vec![
                 Some(JobOutcome::Success { slot: 9 }),
                 None,

@@ -5,21 +5,25 @@
 //! slot a cohort contributes one binomial transmitter count instead of one
 //! Bernoulli draw per member; an individual member is materialized only
 //! when the cohort holds the slot's sole transmission, and a collision
-//! charges its count to distinct members. All draws come from the cohort
-//! stream ([`StreamLabel::Cohort`](crate::rng::StreamLabel::Cohort)), in
-//! cohort order, so the set's RNG position plus its member order is the
-//! whole of its state — which is what a checkpoint carries.
+//! charges its count to distinct members. Every draw is a
+//! [`CounterRng`] position keyed on the trial's cohort key
+//! ([`StreamLabel::Cohort`](crate::rng::StreamLabel::Cohort)) and the
+//! slot: the binomial counts, in cohort order, at phase `Act`; naming
+//! members (the lone winner, or a collision's transmitters) at phase
+//! `Activate` (DESIGN.md §3f). No generator state outlives a slot, so the
+//! cohorts and their member order are the whole of the set's state —
+//! which is what a checkpoint carries.
 //!
 //! [`Fidelity::Cohort`]: crate::engine::Fidelity::Cohort
 //! [`CohortTx::Constant`]: crate::engine::CohortTx::Constant
 //! [`CohortTx::OneShot`]: crate::engine::CohortTx::OneShot
 
 use crate::checkpoint::CheckpointError;
+use crate::crng::{CounterRng, Phase};
 use crate::engine::CohortTx;
 use crate::metrics::AccessCounts;
 use crate::rng::sample_binomial;
 use rand::Rng;
-use rand_chacha::ChaCha8Rng;
 use serde::{Deserialize, Serialize};
 
 /// A cohort's sampling model — also its grouping key, alongside the
@@ -79,14 +83,13 @@ impl Cohort {
     }
 }
 
-/// All cohorts of one run, with the cohort stream they draw from.
+/// All cohorts of one run. Every method that draws takes the trial's
+/// cohort key and the slot, and positions its own [`CounterRng`].
 #[derive(Default)]
 pub(crate) struct CohortSet {
     cohorts: Vec<Cohort>,
     /// Total live members across all cohorts.
     total: usize,
-    /// The cohort stream; `Some` iff the run's fidelity is cohort.
-    rng: Option<ChaCha8Rng>,
     /// This slot's draws: `(cohort index, transmitter count)`.
     hits: Vec<(u32, u64)>,
     /// This slot's materialized lone transmitter: `(cohort, position)`.
@@ -94,16 +97,9 @@ pub(crate) struct CohortSet {
 }
 
 impl CohortSet {
-    /// Reset for a run drawing from `rng` (`None` outside cohort fidelity).
-    pub fn prepare(&mut self, rng: Option<ChaCha8Rng>) {
-        self.clear();
-        self.rng = rng;
-    }
-
     pub fn clear(&mut self) {
         self.cohorts.clear();
         self.total = 0;
-        self.rng = None;
         self.hits.clear();
         self.winner = None;
     }
@@ -151,16 +147,14 @@ impl CohortSet {
     /// Open `slot`: one binomial per cohort decides how many members
     /// transmit. Adds the cohorts' declared contention to `declared` and
     /// returns the slot's cohort transmitter count.
-    pub fn draw(&mut self, slot: u64, declared: &mut f64) -> u64 {
+    pub fn draw(&mut self, key: u64, slot: u64, declared: &mut f64) -> u64 {
         self.hits.clear();
         self.winner = None;
-        let Some(rng) = self.rng.as_mut() else {
-            return 0;
-        };
+        let mut rng = CounterRng::new(key, slot, Phase::Act);
         let mut n = 0;
         for (c_idx, cohort) in self.cohorts.iter().enumerate() {
             let (m, p) = cohort.law(slot);
-            let t = sample_binomial(m, p, rng);
+            let t = sample_binomial(m, p, &mut rng);
             if t > 0 {
                 self.hits.push((c_idx as u32, t));
                 n += t;
@@ -172,13 +166,10 @@ impl CohortSet {
 
     /// The cohorts hold the slot's only transmission: name the member,
     /// uniformly among those eligible (members are exchangeable).
-    pub fn materialize(&mut self) -> u32 {
+    pub fn materialize(&mut self, key: u64, slot: u64) -> u32 {
         let (c_idx, _) = self.hits[0];
         let cohort = &self.cohorts[c_idx as usize];
-        let rng = self
-            .rng
-            .as_mut()
-            .expect("a cohort hit implies the cohort stream");
+        let mut rng = CounterRng::new(key, slot, Phase::Activate);
         // One-shot attempts come from the fresh prefix only.
         let pool = match cohort.model {
             CohortModel::Constant { .. } => cohort.members.len(),
@@ -192,10 +183,8 @@ impl CohortSet {
     /// The slot collided: charge each hit cohort's transmission count to
     /// distinct members (partial Fisher–Yates; order in the member list is
     /// meaningless).
-    pub fn charge(&mut self, accesses: &mut [AccessCounts]) {
-        let Some(rng) = self.rng.as_mut() else {
-            return;
-        };
+    pub fn charge(&mut self, key: u64, slot: u64, accesses: &mut [AccessCounts]) {
+        let mut rng = CounterRng::new(key, slot, Phase::Activate);
         for &(c_idx, t) in &self.hits {
             let cohort = &mut self.cohorts[c_idx as usize];
             match cohort.model {
@@ -263,29 +252,15 @@ impl CohortSet {
         }
     }
 
-    /// The cohorts, verbatim, and the cohort stream's word position.
-    pub fn save(&self) -> (Vec<Cohort>, Option<u64>) {
-        (
-            self.cohorts.clone(),
-            self.rng.as_ref().map(ChaCha8Rng::get_word_pos),
-        )
+    /// The cohorts, verbatim.
+    pub fn save(&self) -> Vec<Cohort> {
+        self.cohorts.clone()
     }
 
-    /// Transplant saved cohorts into a set [`prepare`](Self::prepare)d for
-    /// the run, paused before `slot`, over `n` jobs.
-    pub fn load(
-        &mut self,
-        cohorts: &[Cohort],
-        word_pos: Option<u64>,
-        slot: u64,
-        n: usize,
-    ) -> Result<(), CheckpointError> {
+    /// Transplant saved cohorts into a cleared set for the run, paused
+    /// before `slot`, over `n` jobs.
+    pub fn load(&mut self, cohorts: &[Cohort], slot: u64, n: usize) -> Result<(), CheckpointError> {
         let mismatch = |what: &str| Err(CheckpointError::Mismatch(what.into()));
-        match (self.rng.as_mut(), word_pos) {
-            (Some(rng), Some(pos)) => rng.set_word_pos(pos),
-            (None, None) => {}
-            _ => return mismatch("cohort stream presence differs from the checkpoint"),
-        }
         for c in cohorts {
             if c.fresh > c.members.len() {
                 return mismatch("cohort fresh prefix exceeds member count");

@@ -28,7 +28,7 @@
 //! | wake | wake queue, duty groups | due entries | active set; backstopped members leave their group |
 //! | activate | cohorts, classes, kernel, active set | `cohort_tx`, `class_driver` | the job's owner |
 //! | collect actions | active set, duty groups | `act`, `tx_probability` | transmitters, codes, standing and listen groups |
-//! | aggregate draws | cohorts, classes, kernel | cohort stream, class and job counters | transmitter counts, kernel transmitters |
+//! | aggregate draws | cohorts, classes, kernel | cohort, class and job counters | transmitter counts, kernel transmitters |
 //! | resolve + account | cohorts, classes, jammer | all transmitters | lone winner, collision charges, slot counts, trace |
 //! | deliver | kernel, cohorts | delivered data | outcomes, kernel lanes, cohort winner |
 //! | feedback: active | active set, wake queue | feedback, `duty_cycle`, `next_wake` | protocol state; retire, park, or join a group |
@@ -79,7 +79,6 @@ use crate::sched::WakeQueue;
 use crate::slot::Feedback;
 use crate::trace::{SlotOutcome, SlotRecord};
 use rand::RngCore;
-use rand_chacha::ChaCha8Rng;
 use serde::{Deserialize, Serialize};
 
 /// A job's decision for one slot.
@@ -382,7 +381,7 @@ pub trait Protocol {
 }
 
 /// How the engine visits live jobs each slot.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub enum Scheduling {
     /// Park jobs whose protocol reports a [`Protocol::next_wake`] hint and
     /// skip their `act()` calls until the wake slot; stretches where *every*
@@ -396,7 +395,7 @@ pub enum Scheduling {
 }
 
 /// How faithfully individual jobs are simulated.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub enum Fidelity {
     /// Every job is simulated individually. Bit-exact and the default.
     #[default]
@@ -712,7 +711,11 @@ struct RunState {
     /// Running total of per-slot declared contention (diagnostic; only
     /// accumulated while some sink records slot traces).
     contention_sum: f64,
-    jam_rng: ChaCha8Rng,
+    /// Counter-RNG keys of the run's jammer and cohorts: each slot draws
+    /// from a [`CounterRng`] positioned at `(key, slot, phase)`, so no
+    /// generator state outlives a slot.
+    jam_key: u64,
+    cohort_key: u64,
     /// The next slot boundary to execute.
     slot: u64,
     /// Wall nanoseconds accumulated across `step_until` calls.
@@ -942,12 +945,7 @@ impl Engine {
         self.active.clear();
         self.scratch.clear();
         self.kernel.prepare(self.jobs.len());
-        // Cohort draws come from their own stream so the exact path's
-        // per-job streams stay untouched by the fidelity.
-        self.cohorts.prepare(
-            (self.config.fidelity == Fidelity::Cohort)
-                .then(|| self.seeds.rng(StreamLabel::Cohort, 0)),
-        );
+        self.cohorts.clear();
         self.duty.prepare(self.jobs.len());
         // All observability flows through the probe bus. The legacy
         // `record_trace` flag is a `VecSink` attached first, so its output
@@ -971,7 +969,8 @@ impl Engine {
             bus,
             sched_stats: SchedStats::default(),
             contention_sum: 0.0,
-            jam_rng: self.seeds.rng(StreamLabel::Jammer, 0),
+            jam_key: self.seeds.derive(StreamLabel::Jammer, 0),
+            cohort_key: self.seeds.derive(StreamLabel::Cohort, 0),
             slot: 0,
             engine_nanos: 0,
             done: false,
@@ -1285,7 +1284,7 @@ impl Engine {
     /// they take no feedback and appear in no `codes`.
     fn draw_aggregates(&mut self, st: &RunState) {
         let sc = &mut self.scratch;
-        sc.cohort_tx = self.cohorts.draw(st.slot, &mut sc.declared);
+        sc.cohort_tx = self.cohorts.draw(st.cohort_key, st.slot, &mut sc.declared);
         sc.class_tx = self.classes.begin_slot(st.slot, &mut sc.declared);
         self.kernel.collect(st.slot, &mut sc.kernel_tx);
         for &idx in &sc.kernel_tx {
@@ -1321,7 +1320,7 @@ impl Engine {
                         let (member, payload) = if sc.class_tx == 1 {
                             self.classes.materialize(st.slot)
                         } else {
-                            let member = self.cohorts.materialize();
+                            let member = self.cohorts.materialize(st.cohort_key, st.slot);
                             (member, Payload::Data(self.jobs.specs[member as usize].id))
                         };
                         self.jobs.accesses[member as usize].transmissions += 1;
@@ -1334,11 +1333,14 @@ impl Engine {
                 }
             }
             _ => {
-                self.cohorts.charge(&mut self.jobs.accesses);
+                self.cohorts
+                    .charge(st.cohort_key, st.slot, &mut self.jobs.accesses);
                 SlotView::Collision { n_tx }
             }
         };
-        let jammed = self.jammer.jams(view, &mut st.jam_rng);
+        let jammed = self
+            .jammer
+            .jams(view, &mut CounterRng::new(st.jam_key, st.slot, Phase::Act));
         let feedback = match view {
             _ if jammed => Feedback::Noise,
             SlotView::Silent => Feedback::Silent,
@@ -1833,7 +1835,6 @@ impl Engine {
                 "adversary does not implement save_state".into(),
             ));
         };
-        let (cohorts, cohort_word_pos) = self.cohorts.save();
 
         crate::telemetry::CHECKPOINTS_SAVED.add(1);
         Ok(Checkpoint {
@@ -1846,15 +1847,13 @@ impl Engine {
             gap_skips: st.sched_stats.gap_skips,
             gap_slots: st.sched_stats.gap_slots,
             contention_sum_bits: st.contention_sum.to_bits(),
-            jam_word_pos: st.jam_rng.get_word_pos(),
-            cohort_word_pos,
             outcomes: self.jobs.outcomes.clone(),
             accesses: self.jobs.accesses.clone(),
             active: self.active.clone(),
             parked,
             protocol_state,
             duty: self.duty.clone(),
-            cohorts,
+            cohorts: self.cohorts.save(),
             classes,
             kernel: self.kernel.save(),
             jams_attempted: self.jammer.attempted(),
@@ -1922,10 +1921,8 @@ impl Engine {
 
         self.begin();
 
-        // Run-state scalars and the jammer stream. (Everything else draws
-        // from counter-based streams keyed on `(key, slot, phase)`, which
-        // need no repositioning, or from the cohort stream its owner
-        // restores.)
+        // Run-state scalars. (Every draw is a counter-based position
+        // keyed on `(key, slot, phase)`, so no stream needs repositioning.)
         let st = self.run_state.as_mut().expect("begin installs run state");
         st.slot = ck.slot;
         st.next_pending = ck.next_pending as usize;
@@ -1933,7 +1930,6 @@ impl Engine {
         st.sched_stats.gap_skips = ck.gap_skips;
         st.sched_stats.gap_slots = ck.gap_slots;
         st.contention_sum = f64::from_bits(ck.contention_sum_bits);
-        st.jam_rng.set_word_pos(ck.jam_word_pos);
 
         self.jobs.outcomes.copy_from_slice(&ck.outcomes);
         self.jobs.accesses.copy_from_slice(&ck.accesses);
@@ -1941,8 +1937,7 @@ impl Engine {
         self.active.extend_from_slice(&ck.active);
         self.parked.load(&ck.parked, ck.slot, n)?;
         self.duty.clone_from(&ck.duty);
-        self.cohorts
-            .load(&ck.cohorts, ck.cohort_word_pos, ck.slot, n)?;
+        self.cohorts.load(&ck.cohorts, ck.slot, n)?;
         self.classes.load(
             &ck.classes,
             &self.jobs.specs,

@@ -25,23 +25,25 @@
 //! * [`GilbertElliott`] — a two-state Markov (good/bad) bursty channel
 //!   fault model that strikes *every* slot while bad, idle ones included.
 //!
-//! ## RNG-stream discipline
+//! ## RNG discipline
 //!
-//! One ChaCha stream (label [`crate::rng::StreamLabel::Jammer`]) feeds the
-//! whole adversary layer. [`Adversary::attempts`] may draw from it only
-//! when the implementation declares those draws via
-//! [`Adversary::strikes_idle`] (for draws on silent slots) — the engine
-//! uses that declaration to decide when fast-forwarding over silent
-//! stretches is safe. After every attempt the [`Jammer`] wrapper draws the
-//! `p_jam` success coin from the same stream. Event-driven and dense
-//! scheduling therefore consume identical adversary randomness, which is
+//! The adversary layer draws from one counter-based position per slot:
+//! the engine hands [`Jammer::jams`] a fresh [`crate::crng::CounterRng`]
+//! at `(jam key, slot, Act)`, the jam key being the trial's
+//! [`crate::rng::StreamLabel::Jammer`] seed (DESIGN.md §3f).
+//! [`Adversary::attempts`] draws from it first, then the [`Jammer`]
+//! wrapper draws the `p_jam` success coin. A slot's draws are a pure
+//! function of its position, so no slot's randomness depends on which
+//! slots ran before it. [`Adversary::attempts`] may draw on a silent slot
+//! only when the implementation declares it via
+//! [`Adversary::strikes_idle`] — the engine uses that declaration to
+//! decide when fast-forwarding over silent stretches is safe, which is
 //! what keeps the conformance matrix's `DENSE` column
 //! (`tests/scheduling_equivalence.rs`) bit-exact.
 
 use crate::job::JobId;
 use crate::message::Payload;
-use rand::Rng;
-use rand_chacha::ChaCha8Rng;
+use rand::{Rng, RngCore};
 use serde::{Deserialize, Serialize};
 
 /// What the adversary sees before deciding to jam a slot.
@@ -70,8 +72,8 @@ pub enum SlotView {
 /// slot resolution, message contents included. The contract with the
 /// engine:
 ///
-/// * **RNG discipline.** [`attempts`] may draw from the shared jammer
-///   stream freely on slots with a transmission. On a [`SlotView::Silent`]
+/// * **RNG discipline.** [`attempts`] may draw from the slot's jammer
+///   position freely on slots with a transmission. On a [`SlotView::Silent`]
 ///   slot it may draw (or attempt) **only if** [`strikes_idle`] returns
 ///   `true`; declaring `false` while drawing on silence desynchronizes
 ///   event-driven and dense scheduling.
@@ -93,7 +95,7 @@ pub trait Adversary: std::fmt::Debug + Send + Sync {
     /// Decide whether to attempt a jam in a slot that would resolve as
     /// `view`. Called once per simulated slot (in slot order) with the
     /// adversary's private randomness.
-    fn attempts(&mut self, view: SlotView, rng: &mut ChaCha8Rng) -> bool;
+    fn attempts(&mut self, view: SlotView, rng: &mut dyn RngCore) -> bool;
 
     /// True when this adversary can attempt a jam (and therefore draws
     /// randomness) on a slot with no transmission. Such adversaries make
@@ -156,7 +158,7 @@ pub enum JamPolicy {
 }
 
 impl Adversary for JamPolicy {
-    fn attempts(&mut self, view: SlotView, rng: &mut ChaCha8Rng) -> bool {
+    fn attempts(&mut self, view: SlotView, rng: &mut dyn RngCore) -> bool {
         match (*self, view) {
             (JamPolicy::Never, _) => false,
             (JamPolicy::AllSuccesses, SlotView::Single { .. }) => true,
@@ -214,7 +216,7 @@ impl BudgetedJammer {
 }
 
 impl Adversary for BudgetedJammer {
-    fn attempts(&mut self, view: SlotView, _rng: &mut ChaCha8Rng) -> bool {
+    fn attempts(&mut self, view: SlotView, _rng: &mut dyn RngCore) -> bool {
         if self.spent >= self.budget {
             return false;
         }
@@ -278,7 +280,7 @@ impl ReactiveJammer {
 }
 
 impl Adversary for ReactiveJammer {
-    fn attempts(&mut self, view: SlotView, _rng: &mut ChaCha8Rng) -> bool {
+    fn attempts(&mut self, view: SlotView, _rng: &mut dyn RngCore) -> bool {
         match view {
             SlotView::Silent => {
                 self.silent_run = self.silent_run.saturating_add(1);
@@ -382,7 +384,7 @@ impl GilbertElliott {
 }
 
 impl Adversary for GilbertElliott {
-    fn attempts(&mut self, _view: SlotView, rng: &mut ChaCha8Rng) -> bool {
+    fn attempts(&mut self, _view: SlotView, rng: &mut dyn RngCore) -> bool {
         let flip_p = if self.bad { self.p_exit } else { self.p_enter };
         if rng.gen_bool(flip_p) {
             self.bad = !self.bad;
@@ -515,8 +517,9 @@ impl Jammer {
     }
 
     /// Decide whether this slot is jammed. Called once per slot by the
-    /// engine with the adversary's private randomness.
-    pub fn jams(&mut self, view: SlotView, rng: &mut ChaCha8Rng) -> bool {
+    /// engine with the slot's jammer position; the adversary draws first,
+    /// then the `p_jam` coin.
+    pub fn jams(&mut self, view: SlotView, rng: &mut dyn RngCore) -> bool {
         if !self.adversary.attempts(view, rng) {
             return false;
         }
@@ -593,11 +596,17 @@ impl Jammer {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::crng::{CounterRng, Phase};
     use crate::message::ControlMsg;
     use crate::rng::{SeedSeq, StreamLabel};
 
-    fn rng() -> ChaCha8Rng {
-        SeedSeq::new(123).rng(StreamLabel::Jammer, 0)
+    /// One long jammer position (2^62 words), read as a stream.
+    fn rng() -> CounterRng {
+        CounterRng::new(
+            SeedSeq::new(123).derive(StreamLabel::Jammer, 0),
+            0,
+            Phase::Act,
+        )
     }
 
     fn single_data() -> SlotView {

@@ -36,9 +36,13 @@
 //!
 //! ## Determinism
 //!
-//! Every source of randomness is a ChaCha stream derived from a single
-//! master seed ([`rng::SeedSeq`]), so any run — including parallel
-//! Monte-Carlo batches in [`runner`] — is exactly replayable.
+//! Every seed derives from a single master seed ([`rng::SeedSeq`]), so any
+//! run — including parallel Monte-Carlo batches in [`runner`] — is exactly
+//! replayable. Inside a run every draw — each job's, class's and cohort's
+//! coins and the jammer's — comes from a counter-based generator
+//! ([`crng::CounterRng`]) positioned at `(key, slot, phase)`: a pure
+//! function of its position, so no generator state outlives a slot and a
+//! checkpoint carries none.
 //!
 //! ## Quick example
 //!

@@ -486,12 +486,14 @@ pub struct RingBufferSink {
 }
 
 impl RingBufferSink {
-    /// A ring retaining at most `capacity` records (`capacity ≥ 1`).
+    /// A ring retaining at most `capacity` records (`capacity ≥ 1`). The
+    /// buffer grows as records arrive, so a large `capacity` reserves
+    /// nothing up front.
     pub fn new(capacity: usize) -> Self {
         assert!(capacity >= 1, "ring capacity must be at least 1");
         Self {
             capacity,
-            records: VecDeque::with_capacity(capacity),
+            records: VecDeque::new(),
             dropped: 0,
         }
     }
@@ -837,6 +839,18 @@ mod tests {
             records.iter().map(|r| r.slot).collect::<Vec<_>>(),
             vec![7, 8, 9]
         );
+    }
+
+    #[test]
+    fn ring_capacity_reserves_nothing_up_front() {
+        // A spec-supplied capacity past what memory can hold must not
+        // panic at build time; the ring holds what arrived.
+        let mut sink = SinkSpec::Ring { capacity: u64::MAX }.build();
+        sink.on_slot(&slot_rec(0, SlotOutcome::Silent));
+        let ProbeOutput::Ring { records, dropped } = sink.finish() else {
+            panic!("ring sink must produce Ring output");
+        };
+        assert_eq!((records.len(), dropped), (1, 0));
     }
 
     #[test]

@@ -1,27 +1,33 @@
 //! Deterministic seed derivation.
 //!
-//! Every random stream in a simulation — one per job, one for the jammer,
-//! one per Monte-Carlo trial — is a ChaCha8 stream derived from a single
-//! master seed via a splittable [`SeedSeq`]. Printing the master seed makes
-//! any experiment exactly replayable, including across threads, because
-//! derived seeds depend only on `(master, label, index)` and never on
-//! scheduling order.
+//! Every seed in a simulation — one per Monte-Carlo trial, and inside a
+//! trial one key per job, class, cohort set and jammer — is derived from a
+//! single master seed via a splittable [`SeedSeq`]. Printing the master
+//! seed makes any experiment exactly replayable, including across threads,
+//! because derived seeds depend only on `(master, label, index)` and never
+//! on scheduling order.
+//!
+//! Inside a trial the engine draws only from counter-based positions
+//! ([`crate::crng::CounterRng`] at `(key, slot, phase)`; DESIGN.md §3f).
+//! The sequential ChaCha8 stream of [`SeedSeq::rng`] is for work outside
+//! the slot loop — workload and instance generation — and the crate's
+//! `clippy.toml` keeps that type out of everything else.
 
 use rand_chacha::rand_core::SeedableRng;
-use rand_chacha::ChaCha8Rng;
 
 /// Labels for the independent random-stream domains of one simulation.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum StreamLabel {
     /// Per-job protocol randomness; index = job id.
     Job,
-    /// The jamming adversary's coin flips.
+    /// The jamming adversary's per-slot draws (index 0).
     Jammer,
     /// Per-trial master seeds in a Monte-Carlo batch; index = trial number.
     Trial,
     /// Workload/instance generation.
     Workload,
-    /// Aggregate cohort draws under [`crate::engine::Fidelity::Cohort`].
+    /// Aggregate cohort draws under [`crate::engine::Fidelity::Cohort`]
+    /// (index 0).
     Cohort,
     /// Per-class counter-RNG keys for phase-synchronized aggregate classes
     /// ([`crate::classes::ClassDriver`]); index = the class grouping key.
@@ -80,9 +86,11 @@ impl SeedSeq {
         z ^ (z >> 31)
     }
 
-    /// A ChaCha8 RNG for `(label, index)`.
-    pub fn rng(&self, label: StreamLabel, index: u64) -> ChaCha8Rng {
-        ChaCha8Rng::seed_from_u64(self.derive(label, index))
+    /// A sequential ChaCha8 stream for `(label, index)`, for draws made
+    /// outside the slot loop (workload and instance generation).
+    #[allow(clippy::disallowed_types)]
+    pub fn rng(&self, label: StreamLabel, index: u64) -> rand_chacha::ChaCha8Rng {
+        rand_chacha::ChaCha8Rng::seed_from_u64(self.derive(label, index))
     }
 
     /// The `SeedSeq` governing one Monte-Carlo trial.

@@ -479,8 +479,8 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rand::{Rng, SeedableRng};
-    use rand_chacha::ChaCha8Rng;
+    use crate::rng::StreamLabel;
+    use rand::Rng;
 
     #[test]
     fn results_sorted_and_complete() {
@@ -515,7 +515,7 @@ mod tests {
         // Each trial's output depends only on its seed; parallelism must not
         // change anything.
         let f = |_t: u64, seed: u64| {
-            let mut rng = ChaCha8Rng::seed_from_u64(seed);
+            let mut rng = SeedSeq::new(seed).rng(StreamLabel::Misc, 0);
             rng.gen_range(0..1000u32)
         };
         let a: Vec<u32> = run_trials(100, 3, f).into_iter().map(|t| t.value).collect();
@@ -695,7 +695,7 @@ mod tests {
     #[test]
     fn ctl_matches_plain_results() {
         let f = |_t: u64, seed: u64| {
-            let mut rng = ChaCha8Rng::seed_from_u64(seed);
+            let mut rng = SeedSeq::new(seed).rng(StreamLabel::Misc, 0);
             rng.gen_range(0..1_000_000u64)
         };
         let plain: Vec<u64> = run_trials(50, 17, f).into_iter().map(|t| t.value).collect();

@@ -140,6 +140,22 @@ fn tampered_checkpoints_are_mismatches() {
         "a cohort past its deadline must be a mismatch"
     );
 
+    // A version-2 image, which carried the jammer's and the cohorts'
+    // stream word positions: this build keeps no RNG state to restore
+    // them into, so the version alone refuses it.
+    let mut doc = serde_json::to_value(&ck).expect("checkpoint to json");
+    *member(&mut doc, "version") = Value::Number(Number::U(2));
+    let Value::Object(fields) = &mut doc else {
+        panic!("a checkpoint serializes as an object");
+    };
+    fields.push(("jam_word_pos".into(), Value::Number(Number::U(64))));
+    fields.push(("cohort_word_pos".into(), Value::Number(Number::U(16))));
+    let v2: Checkpoint = serde_json::from_value(&doc).expect("json to checkpoint");
+    assert!(
+        refused(EngineConfig::default().cohort(), &v2),
+        "a version-2 checkpoint must be a mismatch"
+    );
+
     // A parked entry before the wake queue's base (a wake in the past).
     let mut ck = snapshot(EngineConfig::default());
     assert!(ck.parked.base > 0, "the pause is past slot 0");

@@ -183,45 +183,48 @@ fn grid() -> Vec<(String, String)> {
 
 /// `label digest` per line. Pins computed before the slot loop was split
 /// into stages; the `exact-aligned` pins before the tracker's wake plan
-/// stopped copying its classes.
+/// stopped copying its classes. Every pin whose run drew a jammer word or
+/// had ALOHA/UNIFORM cohort members was recomputed when the jammer and the
+/// cohorts moved onto counter-based positions (DESIGN.md §3f); the
+/// others did not move.
 const PINS: &str = "\
 exact-mixed/event/clean e95d15f9bd3a36297110e88443da4039a790995987f81e294bf0adcff701dff1
-exact-mixed/event/ge fbb65007f81b9e2e1150f44586aef68a4baf1e30cf395ab9a61493bb3ec1de3b
+exact-mixed/event/ge a6531808ba355912e0f51abe49d205e1f91b4aa12beac32a697f3d8c6f4ed8fe
 exact-mixed/event/reactive 8eee44a4a9cbca89afce3328faccfd4c4dc75114a25e53a0a4d6fc33f8fb7b3c
 exact-mixed/dense/clean 9732852bf0a3a172bf1a126e6a954fc059c0ea95fdbc3f7bbccf0b2b0ab3c2b4
-exact-mixed/dense/ge 004cb58bc75c9252459c35229e0bee0231522f5d3d3ca1e2e4668f5a10dc3228
-exact-mixed/dense/reactive ed9b014ec8609e82d7e3c990d22abb288c7a4d188184b6dca2d70e7f20d31459
-cohort-aloha/event/clean 76cf6423a6d716b84d8b25a1d14fd3c24306196af6b510e7ef1e67f826f4b161
-cohort-aloha/event/ge 52164a8d0ae873c89bd66949211c0ef711e6189989443fdfe17364a148afb2b9
-cohort-aloha/event/reactive 9e710c2380489b24955cdc29a5325eb48b33197d07ec3788aa9086375a7f060a
-cohort-aloha/dense/clean bd909c037e52528c3a5ebebbf1d27e5793aefa94769942a2f2d92bd5018bee93
-cohort-aloha/dense/ge 5f875f0e4fca62e9b0c8cf1b3114ee5d070c05209d3b2cbb201b19b35e5b8ad9
-cohort-aloha/dense/reactive e69fc3e487fdb38e65e46f395eee8ae637a923a27e9992000fab7741577f1a07
-cohort-uniform/event/clean e271d94946540844dd030f7acd4b8e2a3852236cfa855ad6fcc33bffcb6284da
-cohort-uniform/event/ge b0d693302e3322db993223b0a7f37b19cd95682cbd7887e596a11bed44be1516
-cohort-uniform/event/reactive 4f962005056f995cbc52ed48699fefede79b649a933b11d2eb27dd86ee2e102b
-cohort-uniform/dense/clean 0df29714f803af7724252ae35519a5aee6fe7099eed0cebc0c52c2db027a936d
-cohort-uniform/dense/ge 41671de5c65dcb7c28f374bf9b484a356790164532f89d4ba3f8ce216a888be5
-cohort-uniform/dense/reactive f9ffbaf11b409dafb1113533841361f3bf31a4c608befee2dfb2f9889e8be1c8
+exact-mixed/dense/ge 8d56f295da8c32266b807a472beb14fd2b87a72c8c2ebd4aabbc4dd1b4bb916e
+exact-mixed/dense/reactive cf277815cf4f50e249a640187d74e2c8d4ac8266f2c69436f1fcdecb7fb9cf37
+cohort-aloha/event/clean ed9a979c5d41382cec56c32bbfd824468345018391e9d2767afe0cb829971ec8
+cohort-aloha/event/ge a908662271104ea8304b465769182f09f8c0471952ecd4124b0177722fa3e466
+cohort-aloha/event/reactive 689b85f51df3f43a5c30155d8574e5aab7abb4b31d242e8fca9143b8995cc242
+cohort-aloha/dense/clean e55926c357023c164c50a5f5f328591e7e60cc9a7167e89de3c2fe5cda5d826c
+cohort-aloha/dense/ge 775ac5174e7241052c8bd66ef9a3cd97533e14e65b0371becc9ea01bf1259274
+cohort-aloha/dense/reactive 07aa95d9386c9c8e03d0cd370112252fe58dc8049e4dcfc3f0dff9dfdf4413d7
+cohort-uniform/event/clean eca817023f6eca9375a57653ed5f183d39f22f5da0f46cb3d518c989d280ee1b
+cohort-uniform/event/ge 414dfb970b69a29d42c7923a67569dc51ba686e6ed71c28800a795455b2165a0
+cohort-uniform/event/reactive 964584e608d51b3d7aace12b5bd05248bd35ed809d403d33135a9cd1cd4c15ff
+cohort-uniform/dense/clean e2308ecd6e150bde5b0afe19859fe66d07bdc73bca947b9bb6b5708d6d36cb96
+cohort-uniform/dense/ge 836aa99efba717b3378fb3563c39721638f0f2e5ddcc737486653cf35c60ccdb
+cohort-uniform/dense/reactive e25c6be6caad69f5cf7514dc0ac3d893d5be9c9d3f3c74898baa4151703242ee
 cohort-aligned/event/clean 7e05b55fd58c1fec4e8d2675c33e76abc5018950d434c54e7da9b1e2f8a59742
-cohort-aligned/event/ge cd1b6e7ae16bb29715ca54d6b74a7158afba3c06916ce1df1ab4e95bc1811cf6
-cohort-aligned/event/reactive 6b516f95a52692c5938ffd9449c4bc28de9a85c037e56f143cee4a58ab9643f8
+cohort-aligned/event/ge 391930af7063e33804a0453f8c05ff408e3f6f875ee8390f423b5755c0558ae1
+cohort-aligned/event/reactive ed2d646c315a362d1e92840e4f2338c985c407a04fbc3df57aed3cf06cd5ff72
 cohort-aligned/dense/clean 8da4f872a27de7fbf89abfccdeabb12d4be5e897d54fabeda6a6582f9aed4fa1
-cohort-aligned/dense/ge cb58a2abb2a3440ebbfe81e52ed33c86236cecf707f291bf5d2520456db39ef0
-cohort-aligned/dense/reactive d859447678c90046f70077989e6a13b0ef66cf8cbbdb6cbe1f2d29e81cdb2dfe
+cohort-aligned/dense/ge 41b786d2e4608bf603aaf35cca33ab9a1b045c0759b78f63dd569124aaa0b2ee
+cohort-aligned/dense/reactive 7c72f5e305b8bda0bea2fb41cf0191fd10bf83b5ef39b8e73e1a2d53b6fc7766
 vectorized-mixed/event/clean 14acb10390803bd7bedf5c0eeaaf883076dd78df9b12503eeccda1a37eee9dbd
-vectorized-mixed/event/ge 2b8f254e0e97cc78429759b3f42abadd01ad5e649c77e86356f73598b20166da
-vectorized-mixed/event/reactive 669b850fbd011cc021552b40e5aab54d31bf85801e8e083e85173eea27522932
+vectorized-mixed/event/ge 7bd50e22d5af250f57b60509c907fe1b11b52109db9aaecd4538a0d50b82880f
+vectorized-mixed/event/reactive bb7ee3d3e8147873a5085183892015a9033bfbf1f0746931fa86090b4cd079ab
 vectorized-mixed/dense/clean e1d7319d0573f8d1f00c411e1b69dd0ba04ee66b3a1f32340a484cf39a2ab4a6
-vectorized-mixed/dense/ge ef1e9200ce3ab8d148244d085962c5c9ccf2b68e6ea73933b548f7486e0394ee
-vectorized-mixed/dense/reactive c9e18e57fd6060392ba0b2cbba4db7930139dafec55c341dd8a59264fc2911be
+vectorized-mixed/dense/ge ae7b69214acbf405abf1991f34f5111b57f4eb96a0c5aca09aa8e19277f75e4a
+vectorized-mixed/dense/reactive b48887660b9a5f8f57f63618cfcf9b77f496b89f6bbd76a8ebca27cb3dfe93c0
 exact-aligned/event/clean d53d7c84197ba0f960205602c1f3bc6c9767c41cdc90600752bce8628c5137d6
-exact-aligned/event/ge 1416c62a4e6e330ad6d133a7e7bb1ddcc1cd777c2a689fb4985e5bd2df507394
-exact-aligned/event/reactive 3a6341f3a42ec0a7607f5bd974abcfa35699f77ba0f5a6d340ea5cd1d914d7aa
+exact-aligned/event/ge 68b37ea4050738667409a2bdaf24715af19405ac8fd78dc1906bbf85c32687b2
+exact-aligned/event/reactive f9713b1d574b2cd6f88b5880e2d61753e1bc7b98781eec8a5b504dd17869d96b
 exact-aligned/dense/clean 5b72e97db033df778864da54cdfcfc30fe4a76ae4a8ce3eee3f54bff68b120b8
-exact-aligned/dense/ge bbe3d4667597e5d1030ac5c8be75842396b52461c6af87e6f2dd0c35e2b611b5
-exact-aligned/dense/reactive 2e3b5f0cf3e4476eeb7a8b7ec8b8624e08c2d58a6fb759f84c8c3473c8168935
-checkpoint 48688e4942a0da2332d2fea5cb27806257e57f1413061f8a24526214f864c04f
+exact-aligned/dense/ge eeb351931949bc3ac6b63d8fee8445b3f4fe60725578188d8b46e53aded2d8a7
+exact-aligned/dense/reactive 2b66e34d676acaba131a57ea4dc6ecadc7f254d53eac0c1522a54a6495da1442
+checkpoint 411b964a0053807dd0eb6d4da450cf799a7116a46d64c017aa832a2373d834fd
 ";
 
 #[test]

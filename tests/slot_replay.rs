@@ -19,6 +19,11 @@
 //! side never touches the engine — just [`SeedSeq::job_key`] and the
 //! draw.
 //!
+//! The jammer draws the same way, from `(jam key, slot, Act)`: under
+//! `AllSuccesses` its only draw in a slot is the `p_jam` coin, so a
+//! traced run's lone transmissions are jammed exactly where that position
+//! says so.
+//!
 //! [`CounterRng`]: contention_deadlines::sim::crng::CounterRng
 //! [`crng::replay_bernoulli`]: contention_deadlines::sim::crng::replay_bernoulli
 //! [`crng::replay_oneshot`]: contention_deadlines::sim::crng::replay_oneshot
@@ -30,11 +35,14 @@ mod testkit;
 
 use contention_deadlines::baselines::FixedProbability;
 use contention_deadlines::protocols::Uniform;
-use contention_deadlines::sim::crng;
+use contention_deadlines::sim::crng::{self, CounterRng, Phase};
 use contention_deadlines::sim::engine::{Engine, EngineConfig};
+use contention_deadlines::sim::jamming::{JamPolicy, Jammer};
 use contention_deadlines::sim::job::JobSpec;
 use contention_deadlines::sim::metrics::{JobOutcome, SimReport};
-use contention_deadlines::sim::rng::SeedSeq;
+use contention_deadlines::sim::rng::{SeedSeq, StreamLabel};
+use contention_deadlines::sim::trace::SlotOutcome;
+use rand::Rng;
 use testkit::{jammer, take_watch, watched, ALL};
 
 /// Run `specs` as ALOHA jobs (`Some(p)`) or one-shot UNIFORM jobs
@@ -147,5 +155,41 @@ fn replay_is_positionwise_not_streamwise() {
             "job={} slot={slot}",
             spec.id
         );
+    }
+}
+
+#[test]
+fn jammer_coin_replays_from_its_slot_position() {
+    let p_jam = 0.5;
+    let specs = testkit::staggered(20, 41, 700);
+    for seed in 0..3u64 {
+        for config in [EngineConfig::default(), EngineConfig::default().dense()] {
+            let mut engine = Engine::new(config.with_trace(), seed);
+            engine.set_jammer(Jammer::new(JamPolicy::AllSuccesses, p_jam));
+            engine.add_jobs(&specs, |_| Box::new(FixedProbability::new(0.04)));
+            let report = engine.run();
+            let jam_key = SeedSeq::new(seed).derive(StreamLabel::Jammer, 0);
+            let (mut lone, mut jammed) = (0u32, 0u32);
+            for rec in report.trace.as_ref().expect("traced run") {
+                let was_jammed = match rec.outcome {
+                    SlotOutcome::Success { .. } => false,
+                    SlotOutcome::Jammed { n_tx: 1 } => true,
+                    _ => continue,
+                };
+                let says_jam = CounterRng::new(jam_key, rec.slot, Phase::Act).gen_bool(p_jam);
+                assert_eq!(
+                    was_jammed, says_jam,
+                    "seed={seed} slot={}: the run jammed {was_jammed}, \
+                     the jammer's position says {says_jam}",
+                    rec.slot
+                );
+                lone += 1;
+                jammed += u32::from(was_jammed);
+            }
+            assert!(
+                jammed > 0 && jammed < lone,
+                "seed={seed}: {jammed} of {lone} lone slots jammed; both kinds must occur"
+            );
+        }
     }
 }
