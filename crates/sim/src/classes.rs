@@ -13,10 +13,12 @@
 //!
 //! A [`ClassDriver`] exploits that: it simulates the *shared* state machine
 //! once per class and replaces the per-member Bernoulli coins with one exact
-//! `Binomial(m, p)` draw per slot ([`crate::rng::sample_binomial`]), so a
-//! class of 10⁶ members costs the same per slot as a class of 10. Individual
-//! members are **materialized** only at the boundaries where exchangeability
-//! breaks:
+//! `Binomial(m, p)` draw per slot ([`crate::rng::sample_binomial`]). That
+//! draw takes O(1) expected words in m: BTRS from a mean `m·p` of 10 up,
+//! and below it the geometric-gap loop, at most about 11 words. So a class
+//! of 10⁶ members costs about the same per slot as a class of 10.
+//! Individual members are **materialized** only at the boundaries where
+//! exchangeability breaks:
 //!
 //! * a **lone win** — the channel needs a concrete `src` and payload;
 //! * a **leader election** — the winner leaves the aggregate and becomes an

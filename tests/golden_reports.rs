@@ -9,7 +9,8 @@
 //! plan, through the park and gap counters in `sched_stats`) — with both
 //! scheduling modes and three adversaries (none,
 //! Gilbert–Elliott, reactive). One more run pauses, snapshots, restores
-//! into a fresh engine and finishes there.
+//! into a fresh engine and finishes there, and two single cells pin
+//! binomial draws on both sides of `sample_binomial`'s BTRS line.
 //!
 //! Each report is serialized with `engine_nanos` zeroed and hashed with
 //! [`sha256_hex`]. A deliberate change to a random stream updates the pins
@@ -178,6 +179,29 @@ fn grid() -> Vec<(String, String)> {
     let mut resumed = build(pop.config.clone(), ge, 4242, &pop);
     resumed.restore(&ck).expect("restore");
     out.push(("checkpoint".into(), digest(resumed.finish())));
+    // Single cells (event scheduling, no adversary) for the two sides of
+    // `sample_binomial`'s BTRS line: 64 ALIGNED members in one class, whose
+    // phase-1 draw is Binomial(64, 1/2) (mean 32, BTRS), and 40 ALOHA jobs
+    // sharing one deadline, so one Constant cohort of 40 (mean 0.8, gaps)
+    // names its winners from a range of 40.
+    let aligned64 = Pop::new(
+        "cohort-aligned-64",
+        EngineConfig::aligned().cohort(),
+        (0..64).map(|i| JobSpec::new(i, 0, 512)).collect(),
+        |_| Box::new(AlignedProtocol::new(AlignedParams::new(1, 2, 9))),
+    );
+    let aloha40 = Pop {
+        name: "cohort-aloha-shared".into(),
+        ..population("cohort-aloha")
+    };
+    for (seed, pop) in [(7, aligned64), (8, aloha40)] {
+        let mut config = pop.config.clone().with_trace();
+        if pop.observable {
+            config = config.with_probe(ProbeSpec::new().with(SinkSpec::Events));
+        }
+        let report = build(config, &Jammer::none(), seed, &pop).run();
+        out.push((format!("{}/event/clean", pop.name), digest(report)));
+    }
     out
 }
 
@@ -186,7 +210,9 @@ fn grid() -> Vec<(String, String)> {
 /// stopped copying its classes. Every pin whose run drew a jammer word or
 /// had ALOHA/UNIFORM cohort members was recomputed when the jammer and the
 /// cohorts moved onto counter-based positions (DESIGN.md §3f); the
-/// others did not move.
+/// others did not move. The last two pins came with the BTRS branch of
+/// `sample_binomial`: `cohort-aloha-shared` reads the same under the
+/// gap-only sampler before it, `cohort-aligned-64` does not.
 const PINS: &str = "\
 exact-mixed/event/clean e95d15f9bd3a36297110e88443da4039a790995987f81e294bf0adcff701dff1
 exact-mixed/event/ge a6531808ba355912e0f51abe49d205e1f91b4aa12beac32a697f3d8c6f4ed8fe
@@ -225,6 +251,8 @@ exact-aligned/dense/clean 5b72e97db033df778864da54cdfcfc30fe4a76ae4a8ce3eee3f54b
 exact-aligned/dense/ge eeb351931949bc3ac6b63d8fee8445b3f4fe60725578188d8b46e53aded2d8a7
 exact-aligned/dense/reactive 2b66e34d676acaba131a57ea4dc6ecadc7f254d53eac0c1522a54a6495da1442
 checkpoint 411b964a0053807dd0eb6d4da450cf799a7116a46d64c017aa832a2373d834fd
+cohort-aligned-64/event/clean 607611f4c9fc7e25fec9fe508082602e62dc588f99f5f92edf0b998d92b28f4e
+cohort-aloha-shared/event/clean 764e0eccd528dd1761e9e4b6b05a1959a275182c501eb1b8daca48695c859543
 ";
 
 #[test]
