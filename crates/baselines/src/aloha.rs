@@ -8,10 +8,11 @@ use dcr_sim::engine::{Action, CohortTx, JobCtx, Protocol};
 use dcr_sim::message::Payload;
 use dcr_sim::slot::Feedback;
 use rand::{Rng, RngCore};
+use serde::{DeError, Deserialize, Serialize, Value};
 
 /// Transmit the data message with probability `p` in every slot until it
 /// gets through.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct FixedProbability {
     p: f64,
     succeeded: bool,
@@ -80,22 +81,17 @@ impl Protocol for FixedProbability {
         }
     }
 
-    fn save_state(&self) -> Option<Vec<u64>> {
-        let mut p = dcr_sim::checkpoint::StatePack::new();
-        p.flag(self.succeeded);
-        Some(p.finish())
+    fn save_state(&self) -> Option<Value> {
+        Some(self.to_value())
     }
 
-    fn restore_state(&mut self, state: &[u64]) -> bool {
-        let mut r = dcr_sim::checkpoint::StateReader::new(state);
-        let Some(succeeded) = r.flag() else {
-            return false;
-        };
-        if !r.done() {
-            return false;
+    fn restore_state(&mut self, state: &Value) -> Result<(), DeError> {
+        let saved = Self::from_value(state)?;
+        if !(saved.p > 0.0 && saved.p <= 1.0) {
+            return Err(DeError::msg("p must be in (0,1]"));
         }
-        self.succeeded = succeeded;
-        true
+        *self = saved;
+        Ok(())
     }
 }
 

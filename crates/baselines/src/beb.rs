@@ -13,13 +13,14 @@ use dcr_sim::engine::{Action, JobCtx, Protocol};
 use dcr_sim::message::Payload;
 use dcr_sim::slot::Feedback;
 use rand::{Rng, RngCore};
+use serde::{DeError, Deserialize, Serialize, Value};
 
 /// The BEB protocol for one job.
 ///
 /// The retry slot is drawn the moment a collision is reported, so the job
 /// knows its next attempt in advance and `next_wake` lets the engine sleep
 /// it through the backoff gap.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct BinaryExponentialBackoff {
     /// Number of failed attempts so far.
     attempts: u32,
@@ -130,33 +131,17 @@ impl Protocol for BinaryExponentialBackoff {
         }
     }
 
-    fn save_state(&self) -> Option<Vec<u64>> {
-        let mut p = dcr_sim::checkpoint::StatePack::new();
-        p.word(u64::from(self.attempts))
-            .word(self.next_tx)
-            .flag(self.transmitted_this_slot)
-            .flag(self.succeeded);
-        Some(p.finish())
+    fn save_state(&self) -> Option<Value> {
+        Some(self.to_value())
     }
 
-    fn restore_state(&mut self, state: &[u64]) -> bool {
-        let mut r = dcr_sim::checkpoint::StateReader::new(state);
-        let (Some(attempts), Some(next_tx), Some(transmitted), Some(succeeded)) =
-            (r.word(), r.word(), r.flag(), r.flag())
-        else {
-            return false;
-        };
-        let Ok(attempts) = u32::try_from(attempts) else {
-            return false;
-        };
-        if !r.done() {
-            return false;
+    fn restore_state(&mut self, state: &Value) -> Result<(), DeError> {
+        let saved = Self::from_value(state)?;
+        if !saved.cap.is_power_of_two() {
+            return Err(DeError::msg("BEB cap must be a power of two"));
         }
-        self.attempts = attempts;
-        self.next_tx = next_tx;
-        self.transmitted_this_slot = transmitted;
-        self.succeeded = succeeded;
-        true
+        *self = saved;
+        Ok(())
     }
 }
 

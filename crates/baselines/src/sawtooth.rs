@@ -14,13 +14,14 @@ use dcr_sim::message::Payload;
 use dcr_sim::probe::{EventBuf, ProbeEvent};
 use dcr_sim::slot::Feedback;
 use rand::{Rng, RngCore};
+use serde::{DeError, Deserialize, Serialize, Value};
 
 /// The sawtooth backoff protocol for one job.
 ///
 /// Each window's attempt slot is drawn when the window is entered, so the
 /// window is known in advance and `next_wake` lets the engine sleep the job
 /// to its attempt slot and then to the next window boundary.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct Sawtooth {
     /// Current run index (window sizes go up to `2^run`).
     run: u32,
@@ -150,37 +151,17 @@ impl Protocol for Sawtooth {
         }
     }
 
-    fn save_state(&self) -> Option<Vec<u64>> {
-        let mut p = dcr_sim::checkpoint::StatePack::new();
-        p.word(u64::from(self.run))
-            .word(u64::from(self.exp))
-            .word(self.window_end)
-            .word(self.fire_at)
-            .flag(self.succeeded)
-            .flag(self.primed);
-        Some(p.finish())
+    fn save_state(&self) -> Option<Value> {
+        Some(self.to_value())
     }
 
-    fn restore_state(&mut self, state: &[u64]) -> bool {
-        let mut r = dcr_sim::checkpoint::StateReader::new(state);
-        let (Some(run), Some(exp), Some(window_end), Some(fire_at), Some(succeeded), Some(primed)) =
-            (r.word(), r.word(), r.word(), r.word(), r.flag(), r.flag())
-        else {
-            return false;
-        };
-        let (Ok(run), Ok(exp)) = (u32::try_from(run), u32::try_from(exp)) else {
-            return false;
-        };
-        if exp > 62 || !r.done() {
-            return false;
+    fn restore_state(&mut self, state: &Value) -> Result<(), DeError> {
+        let saved = Self::from_value(state)?;
+        if saved.exp > 62 {
+            return Err(DeError::msg("sawtooth window exponent above 62"));
         }
-        self.run = run;
-        self.exp = exp;
-        self.window_end = window_end;
-        self.fire_at = fire_at;
-        self.succeeded = succeeded;
-        self.primed = primed;
-        true
+        *self = saved;
+        Ok(())
     }
 }
 

@@ -14,7 +14,7 @@ use dcr_sim::engine::{Action, JobCtx, Protocol};
 use dcr_sim::message::Payload;
 use dcr_sim::slot::Feedback;
 use rand::{Rng, RngCore};
-use serde::{Deserialize, Serialize};
+use serde::{DeError, Deserialize, Serialize, Value};
 
 /// A window-size schedule: `size(i)` is the size of the `i`-th window
 /// (0-based), capped at `2^40` to avoid overflow in degenerate sweeps.
@@ -87,7 +87,7 @@ impl Schedule {
 /// (one `gen_range` per window), so the whole window is known in advance:
 /// `next_wake` can tell the engine to sleep straight to the attempt slot
 /// and then to the next window boundary.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct WindowedBackoff {
     schedule: Schedule,
     /// Current window index.
@@ -127,11 +127,6 @@ impl WindowedBackoff {
         let draw = rng.gen_range(1..=size);
         self.window_end = now + size;
         self.fire_at = now + size - draw;
-    }
-
-    /// The index of the window currently being executed.
-    pub fn window_index(&self) -> u32 {
-        self.window_idx
     }
 }
 
@@ -187,35 +182,13 @@ impl Protocol for WindowedBackoff {
         }
     }
 
-    fn save_state(&self) -> Option<Vec<u64>> {
-        let mut p = dcr_sim::checkpoint::StatePack::new();
-        p.word(u64::from(self.window_idx))
-            .word(self.window_end)
-            .word(self.fire_at)
-            .flag(self.started)
-            .flag(self.succeeded);
-        Some(p.finish())
+    fn save_state(&self) -> Option<Value> {
+        Some(self.to_value())
     }
 
-    fn restore_state(&mut self, state: &[u64]) -> bool {
-        let mut r = dcr_sim::checkpoint::StateReader::new(state);
-        let (Some(window_idx), Some(window_end), Some(fire_at), Some(started), Some(succeeded)) =
-            (r.word(), r.word(), r.word(), r.flag(), r.flag())
-        else {
-            return false;
-        };
-        let Ok(window_idx) = u32::try_from(window_idx) else {
-            return false;
-        };
-        if !r.done() {
-            return false;
-        }
-        self.window_idx = window_idx;
-        self.window_end = window_end;
-        self.fire_at = fire_at;
-        self.started = started;
-        self.succeeded = succeeded;
-        true
+    fn restore_state(&mut self, state: &Value) -> Result<(), DeError> {
+        *self = Self::from_value(state)?;
+        Ok(())
     }
 }
 

@@ -34,11 +34,12 @@ const CLASS: u32 = 13;
 const N_JOBS: usize = 8;
 
 /// Trials in each of the two E18b cells that `long_blackouts_bite`
-/// compares (full mode). Sized from a 40-seed calibration: the L = 128
-/// cell delivers 0.934 on average, 0.016 inside the check's margin, with
-/// a trial-level sd of about 0.24, so 48 trials fail the check on ~40%
-/// of seeds; at 3,072 the seed-to-seed sd is 0.0043 and the margin sits
-/// 3.7 of them away.
+/// compares, in quick and full mode alike. Sized from a 40-seed
+/// calibration: the L = 128 cell delivers 0.934 on average, 0.016 inside
+/// the check's margin, with a trial-level sd of about 0.24, so 48 trials
+/// fail the check on ~40% of seeds (10 trials on ~40% of quick seeds);
+/// at 3,072 the seed-to-seed sd is 0.0043 and the margin sits 3.7 of
+/// them away.
 const CHECK_TRIALS: u64 = 3_072;
 
 /// λ=2 buys the margin the jamming analysis spends (same as E11).
@@ -136,7 +137,6 @@ pub fn run(cfg: &ExpConfig) -> ExpOutput {
     let instance = batch(N_JOBS, 1 << CLASS);
     let all = AdversarySpec::Policy(JamPolicy::AllSuccesses);
     let trials = cfg.cell_trials(48);
-    let check_trials = if cfg.quick { trials } else { CHECK_TRIALS };
 
     let mut rb = ReportBuilder::new(
         "e18",
@@ -149,7 +149,7 @@ pub fn run(cfg: &ExpConfig) -> ExpOutput {
         .param("p_jam_grid", format!("{pjams:?}"))
         .param("burst_len_grid", format!("{burst_lens:?}"))
         .param("trials_per_cell", trials)
-        .param("trials_per_check_cell", check_trials);
+        .param("trials_per_check_cell", CHECK_TRIALS);
 
     // ── E18a: stochastic p_jam sweep, all protocols ──────────────────────
     let mut t1 = Table::new(vec!["protocol", "p_jam", "per-job delivery"]).with_title(format!(
@@ -199,7 +199,7 @@ pub fn run(cfg: &ExpConfig) -> ExpOutput {
         let checked = i == 0 || i == burst_lens.len() - 1;
         let cell = measure(
             cfg,
-            if checked { check_trials } else { trials },
+            if checked { CHECK_TRIALS } else { trials },
             &scen.instance,
             "aligned",
             scen.adversary,

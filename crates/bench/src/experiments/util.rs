@@ -11,12 +11,13 @@ use dcr_sim::trace::{SlotOutcome, SlotRecord};
 use dcr_workloads::generators::batch;
 use dcr_workloads::Instance;
 use rand::{Rng, RngCore};
+use serde::{DeError, Deserialize, Serialize, Value};
 
 /// A station that transmits a **control** message with fixed probability
 /// `p` in every slot, forever. Because it never sends a data payload the
 /// engine never retires it, which makes it the right tool for holding the
 /// channel at a precise contention level (experiment E1).
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
 pub struct PersistentP(pub f64);
 
 /// `ControlMsg::kind` used by [`PersistentP`] probes.
@@ -35,16 +36,18 @@ impl Protocol for PersistentP {
         Some(self.0)
     }
 
-    // The probe is memoryless: `p` is construction config the checkpoint
-    // factory-rebuild re-supplies, and the per-slot coin is counter-keyed.
-    // An empty blob therefore round-trips it (needed by E21, which keeps
-    // sentinels live across its branch point).
-    fn save_state(&self) -> Option<Vec<u64>> {
-        Some(Vec::new())
+    // Needed by E21, which keeps sentinels live across its branch point.
+    fn save_state(&self) -> Option<Value> {
+        Some(self.to_value())
     }
 
-    fn restore_state(&mut self, state: &[u64]) -> bool {
-        state.is_empty()
+    fn restore_state(&mut self, state: &Value) -> Result<(), DeError> {
+        let saved = Self::from_value(state)?;
+        if !(0.0..=1.0).contains(&saved.0) {
+            return Err(DeError::msg("p must be in [0,1]"));
+        }
+        *self = saved;
+        Ok(())
     }
 }
 

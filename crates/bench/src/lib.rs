@@ -28,14 +28,6 @@ pub const ALL_EXPERIMENTS: &[&str] = &[
     "e14", "e15", "e16", "e17", "e18", "e19", "e20", "e21", "a1", "a2",
 ];
 
-/// Run one experiment by id, returning its rendered text report.
-///
-/// Thin wrapper over [`run_experiment_report`] for callers that only want
-/// the human-readable output.
-pub fn run_experiment(id: &str, cfg: &ExpConfig) -> Option<String> {
-    run_experiment_report(id, cfg).map(|out| out.text)
-}
-
 /// Run one experiment by id, returning its full [`ExpOutput`]: the
 /// rendered text plus the structured [`dcr_stats::ExperimentReport`]
 /// artifact (per-cell metrics with confidence intervals, claim checks,

@@ -16,9 +16,10 @@ use dcr_sim::engine::{Action, CohortTx, JobCtx, Protocol};
 use dcr_sim::message::Payload;
 use dcr_sim::probe::{EventBuf, ProbeEvent};
 use rand::{Rng, RngCore};
+use serde::{DeError, Deserialize, Serialize, Value};
 
 /// The UNIFORM protocol with `k` broadcast attempts.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct Uniform {
     attempts: usize,
     /// Chosen local slots, sorted; populated at activation.
@@ -43,11 +44,6 @@ impl Uniform {
     /// The canonical single-attempt UNIFORM.
     pub fn single() -> Self {
         Self::new(1)
-    }
-
-    /// The local slots this job chose (for tests).
-    pub fn chosen_slots(&self) -> &[u64] {
-        &self.chosen
     }
 }
 
@@ -125,24 +121,17 @@ impl Protocol for Uniform {
         Some(self.chosen.get(next).copied().unwrap_or(u64::MAX))
     }
 
-    fn save_state(&self) -> Option<Vec<u64>> {
-        let mut p = dcr_sim::checkpoint::StatePack::new();
-        p.seq(&self.chosen).flag(self.succeeded);
-        Some(p.finish())
+    fn save_state(&self) -> Option<Value> {
+        Some(self.to_value())
     }
 
-    fn restore_state(&mut self, state: &[u64]) -> bool {
-        let mut r = dcr_sim::checkpoint::StateReader::new(state);
-        let Some(chosen) = r.seq() else { return false };
-        let Some(succeeded) = r.flag() else {
-            return false;
-        };
-        if !r.done() {
-            return false;
+    fn restore_state(&mut self, state: &Value) -> Result<(), DeError> {
+        let saved = Self::from_value(state)?;
+        if saved.attempts == 0 {
+            return Err(DeError::msg("UNIFORM needs at least one attempt"));
         }
-        self.chosen = chosen.to_vec();
-        self.succeeded = succeeded;
-        true
+        *self = saved;
+        Ok(())
     }
 }
 

@@ -104,15 +104,6 @@ impl DiskCache {
         std::fs::rename(&tmp, self.checkpoint_path(key))
     }
 
-    /// Load the serialized checkpoint stored under `key`, if present.
-    /// Corrupt or missing files behave as a miss, like [`DiskCache::load`].
-    pub fn load_checkpoint(&self, key: &str) -> Option<String> {
-        if !valid_key(key) {
-            return None;
-        }
-        std::fs::read_to_string(self.checkpoint_path(key)).ok()
-    }
-
     /// Append one single-line JSON record to the append-only branch
     /// lineage log (`<dir>/lineage.log`): which checkpoint was forked
     /// from which experiment, at what slot, into which branches.

@@ -22,13 +22,12 @@
 //! * per-job outcomes, access counters, and the active set (in engine
 //!   order — `swap_remove` order is behavior, not noise);
 //! * the wake-queue calendar (entries in pop order plus lifetime counters);
-//! * each live job's protocol state as a flat word blob
-//!   ([`crate::engine::Protocol::save_state`]);
+//! * each live job's protocol state ([`crate::engine::Protocol::save_state`]);
 //! * duty groups verbatim, including member order (the listen-representative
 //!   is the first member, so order affects behavior);
 //! * cohort aggregates and phase-synchronized class drivers
 //!   ([`crate::classes::ClassDriver::save_state`]);
-//! * the vectorized kernel's buckets and one-shot calendar;
+//! * the vectorized kernel's buckets and one-shot calendar ([`KernelSnap`]);
 //! * the jammer's counters and adversary state
 //!   ([`crate::jamming::Adversary::save_state`]).
 //!
@@ -39,8 +38,8 @@
 //!
 //! ## What a checkpoint does *not* capture
 //!
-//! The static run inputs — config, master seed, job specs, protocol
-//! parameters, adversary spec — are **not** serialized. A restore target
+//! The static run inputs — config, master seed, job specs, adversary
+//! spec — are **not** serialized. A restore target
 //! must be rebuilt from the same inputs (same constructors, same order);
 //! the checkpoint carries a [`Checkpoint::fingerprint`] over those inputs
 //! and [`crate::engine::Engine::restore`] refuses a mismatch. Probe sinks
@@ -48,23 +47,29 @@
 //! on unprobed, untraced runs (observability buffers are unbounded and
 //! belong to the run that made them).
 //!
-//! ## Word-blob convention
+//! ## One encoding
 //!
-//! Protocol, class-driver, and adversary state travels as `Vec<u64>` built
-//! with [`StatePack`] and decoded with [`StateReader`]: floats as
-//! `to_bits`, bools as 0/1, `Option` as a 0/1 flag followed by the value,
-//! vectors length-prefixed. Blobs hold *dynamic* state only — anything
-//! fixed at construction is re-supplied by the rebuilt instance.
+//! Every part of a checkpoint is serde-derived. The engine's own owners
+//! are typed structs; protocol, class-driver and adversary state travels
+//! as a [`serde::Value`] that the implementor derives from its own type
+//! (typically `Some(self.to_value())`) and decodes with
+//! `Deserialize::from_value` on restore. A state value is outside input
+//! to the restore: it must re-check every invariant its constructor
+//! asserts and refuse a malformed value with an error, which
+//! [`crate::engine::Engine::restore`] reports as a
+//! [`CheckpointError::Mismatch`]. Floats travel as JSON numbers, which
+//! round-trip a finite `f64` exactly; a non-finite one prints as `null`,
+//! so the run-level float is kept as raw bits.
 
 use crate::cohort::Cohort;
 use crate::duty::DutySet;
 use crate::metrics::{AccessCounts, JobOutcome, SlotCounts};
-use serde::{Deserialize, Serialize};
+use serde::{Deserialize, Serialize, Value};
 use std::fmt;
 
 /// Version tag of the checkpoint wire format. Bump on any layout change;
 /// [`crate::engine::Engine::restore`] rejects other versions.
-pub const CHECKPOINT_VERSION: u32 = 3;
+pub const CHECKPOINT_VERSION: u32 = 4;
 
 /// A complete engine-state image at a slot boundary. See the
 /// [module docs](self) for the capture contract.
@@ -102,26 +107,26 @@ pub struct Checkpoint {
     pub active: Vec<u32>,
     /// The wake-queue calendar.
     pub parked: ParkedSnap,
-    /// Per-job protocol state: `Some(blob)` for jobs whose protocol is
+    /// Per-job protocol state: `Some(state)` for jobs whose protocol is
     /// live at the boundary, `None` for pending/retired/aggregate-managed
-    /// jobs (their protocols are rebuilt fresh or never consulted).
-    pub protocol_state: Vec<Option<Vec<u64>>>,
+    /// jobs (their protocols are rebuilt fresh or never consulted). A
+    /// `null` state reads back from JSON as `None`: a protocol whose whole
+    /// state is `null` has nothing to restore beyond its factory build.
+    pub protocol_state: Vec<Option<Value>>,
     /// Duty groups and per-job duty bookkeeping, verbatim.
     pub duty: DutySet,
     /// Cohort aggregates (cohort fidelity), verbatim.
     pub cohorts: Vec<Cohort>,
     /// Phase-synchronized class aggregates (cohort fidelity).
     pub classes: Vec<ClassSnap>,
-    /// The vectorized kernel's state as one flat word blob (an empty
-    /// kernel unless vectorized fidelity).
-    pub kernel: Vec<u64>,
+    /// The vectorized kernel's state (empty unless vectorized fidelity).
+    pub kernel: KernelSnap,
     /// Jam attempts so far ([`crate::jamming::Jammer::attempted`]).
     pub jams_attempted: u64,
     /// Successful jams so far ([`crate::jamming::Jammer::succeeded`]).
     pub jams_succeeded: u64,
-    /// The adversary's dynamic state
-    /// ([`crate::jamming::Adversary::save_state`]).
-    pub adversary: Vec<u64>,
+    /// The adversary's state ([`crate::jamming::Adversary::save_state`]).
+    pub adversary: Value,
 }
 
 /// The wake-queue calendar: parked entries in pop order plus the queue's
@@ -153,8 +158,39 @@ pub struct ClassSnap {
     pub live: u64,
     /// The job that opened the class (supplies the rebuilt driver).
     pub opener: u32,
-    /// The driver's dynamic state blob (carries the member set).
-    pub state: Vec<u64>,
+    /// The driver's state (carries the member set).
+    pub state: Value,
+}
+
+/// The vectorized kernel's state. Lane keys and the derived counters are
+/// not stored: a restore recomputes them from the engine's job table.
+#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+pub struct KernelSnap {
+    /// Bernoulli buckets, in creation order (a lane's home names its
+    /// bucket by index).
+    pub buckets: Vec<BucketSnap>,
+    /// The one-shot calendar: `(transmission slot, job)` in ascending
+    /// order.
+    pub shots: Vec<(u64, u32)>,
+    /// Pending (undelivered, unexpired) one-shot members per deadline:
+    /// `(deadline, count)` in ascending deadline order.
+    pub shot_live: Vec<(u64, u64)>,
+    /// Jobs homed in the calendar. A fired-but-collided one-shot has
+    /// left `shots` yet stays pending (and homed) until its deadline.
+    pub shot_homes: Vec<u32>,
+}
+
+/// One `(p, deadline)` bucket of constant-probability kernel lanes.
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+pub struct BucketSnap {
+    /// Raw bits of the shared per-slot probability (the bucket identity).
+    pub p_bits: u64,
+    /// Shared deadline.
+    pub deadline: u64,
+    /// Lane jobs, in lane order.
+    pub jobs: Vec<u32>,
+    /// Liveness bitmask: bit `i % 64` of word `i / 64` is lane `i`.
+    pub alive: Vec<u64>,
 }
 
 /// Why a snapshot or restore was refused.
@@ -171,7 +207,8 @@ pub enum CheckpointError {
     /// or adversary without state support, ...).
     Unsupported(String),
     /// The checkpoint's version or fingerprint does not match the restore
-    /// target; the string says which.
+    /// target, or a part of it is malformed or inconsistent; the string
+    /// says which.
     Mismatch(String),
 }
 
@@ -187,117 +224,6 @@ impl fmt::Display for CheckpointError {
 }
 
 impl std::error::Error for CheckpointError {}
-
-/// Builder for the flat word blobs protocol/class/adversary state travels
-/// in. See the [module docs](self) for the encoding convention.
-#[derive(Debug, Default)]
-pub struct StatePack {
-    words: Vec<u64>,
-}
-
-impl StatePack {
-    /// Start an empty blob.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Append one word.
-    pub fn word(&mut self, w: u64) -> &mut Self {
-        self.words.push(w);
-        self
-    }
-
-    /// Append a bool as 0/1.
-    pub fn flag(&mut self, b: bool) -> &mut Self {
-        self.word(u64::from(b))
-    }
-
-    /// Append an `f64` as its raw bits.
-    pub fn float(&mut self, x: f64) -> &mut Self {
-        self.word(x.to_bits())
-    }
-
-    /// Append an `Option<u64>` as a 0/1 flag followed (when set) by the
-    /// value.
-    pub fn opt(&mut self, x: Option<u64>) -> &mut Self {
-        match x {
-            Some(w) => self.flag(true).word(w),
-            None => self.flag(false),
-        }
-    }
-
-    /// Append a slice as a length prefix followed by its words.
-    pub fn seq(&mut self, xs: &[u64]) -> &mut Self {
-        self.word(xs.len() as u64);
-        self.words.extend_from_slice(xs);
-        self
-    }
-
-    /// Finish the blob.
-    pub fn finish(self) -> Vec<u64> {
-        self.words
-    }
-}
-
-/// Cursor over a [`StatePack`]-encoded blob. Every read returns `None` on
-/// underrun or malformed data; a restore should propagate that as failure.
-#[derive(Debug, Clone, Copy)]
-pub struct StateReader<'a> {
-    words: &'a [u64],
-    pos: usize,
-}
-
-impl<'a> StateReader<'a> {
-    /// Read from the start of `words`.
-    pub fn new(words: &'a [u64]) -> Self {
-        Self { words, pos: 0 }
-    }
-
-    /// Next word.
-    pub fn word(&mut self) -> Option<u64> {
-        let w = self.words.get(self.pos).copied();
-        if w.is_some() {
-            self.pos += 1;
-        }
-        w
-    }
-
-    /// Next word as a bool; `None` unless it is exactly 0 or 1.
-    pub fn flag(&mut self) -> Option<bool> {
-        match self.word()? {
-            0 => Some(false),
-            1 => Some(true),
-            _ => None,
-        }
-    }
-
-    /// Next word as `f64` bits.
-    pub fn float(&mut self) -> Option<f64> {
-        self.word().map(f64::from_bits)
-    }
-
-    /// Next flag-prefixed `Option<u64>`.
-    pub fn opt(&mut self) -> Option<Option<u64>> {
-        match self.flag()? {
-            false => Some(None),
-            true => self.word().map(Some),
-        }
-    }
-
-    /// Next length-prefixed sequence.
-    pub fn seq(&mut self) -> Option<&'a [u64]> {
-        let n = usize::try_from(self.word()?).ok()?;
-        let xs = self.words.get(self.pos..self.pos.checked_add(n)?)?;
-        self.pos += n;
-        Some(xs)
-    }
-
-    /// True when the whole blob has been consumed — restores should check
-    /// this so trailing garbage is rejected rather than ignored.
-    pub fn done(&self) -> bool {
-        self.pos == self.words.len()
-    }
-}
 
 /// FNV-1a over a word stream — the static-input fingerprint digest.
 pub(crate) struct Digest(u64);
@@ -322,41 +248,6 @@ impl Digest {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn pack_reader_round_trip() {
-        let mut p = StatePack::new();
-        p.word(7)
-            .flag(true)
-            .flag(false)
-            .float(0.25)
-            .opt(Some(99))
-            .opt(None)
-            .seq(&[1, 2, 3]);
-        let blob = p.finish();
-        let mut r = StateReader::new(&blob);
-        assert_eq!(r.word(), Some(7));
-        assert_eq!(r.flag(), Some(true));
-        assert_eq!(r.flag(), Some(false));
-        assert_eq!(r.float(), Some(0.25));
-        assert_eq!(r.opt(), Some(Some(99)));
-        assert_eq!(r.opt(), Some(None));
-        assert_eq!(r.seq(), Some(&[1u64, 2, 3][..]));
-        assert!(r.done());
-        assert_eq!(r.word(), None);
-    }
-
-    #[test]
-    fn reader_rejects_malformed() {
-        // Flag words must be exactly 0 or 1.
-        assert_eq!(StateReader::new(&[2]).flag(), None);
-        // Sequence longer than the blob.
-        assert_eq!(StateReader::new(&[5, 1, 2]).seq(), None);
-        // Underrun.
-        let mut r = StateReader::new(&[]);
-        assert_eq!(r.word(), None);
-        assert!(r.done());
-    }
 
     #[test]
     fn digest_is_order_sensitive() {
@@ -419,7 +310,11 @@ mod tests {
                 pushes: 6,
                 peak: 3,
             },
-            protocol_state: vec![Some(vec![1, 2]), None, Some(Vec::new())],
+            protocol_state: vec![
+                Some(vec![1u64, 2].to_value()),
+                None,
+                Some(Value::Bool(true)),
+            ],
             duty,
             cohorts,
             classes: vec![ClassSnap {
@@ -428,12 +323,22 @@ mod tests {
                 deadline: 64,
                 live: 3,
                 opener: 5,
-                state: vec![3, 5, 6, 7],
+                state: vec![5u32, 6, 7].to_value(),
             }],
-            kernel: vec![0, 9, 9],
+            kernel: KernelSnap {
+                buckets: vec![BucketSnap {
+                    p_bits: 0.25f64.to_bits(),
+                    deadline: 64,
+                    jobs: vec![0, 2],
+                    alive: vec![0b10],
+                }],
+                shots: vec![(110, 1)],
+                shot_live: vec![(128, 1)],
+                shot_homes: vec![1],
+            },
             jams_attempted: 12,
             jams_succeeded: 4,
-            adversary: vec![1],
+            adversary: Value::Bool(true),
         };
         let json = serde_json::to_string(&ck).expect("serialize");
         let back: Checkpoint = serde_json::from_str(&json).expect("deserialize");

@@ -53,6 +53,7 @@ use crate::message::Payload;
 use crate::probe::ProbeEvent;
 use crate::rng::{SeedSeq, StreamLabel};
 use crate::slot::Feedback;
+use serde::{DeError, Value};
 
 /// Class-level context handed to [`crate::engine::Protocol::class_driver`]
 /// when the engine opens a new aggregate class.
@@ -153,22 +154,21 @@ pub trait ClassDriver {
         let _ = out;
     }
 
-    /// Serialize the driver's *dynamic* state as a flat word blob for
-    /// [`crate::checkpoint`]. Parameters fixed at construction must not be
-    /// included — a restore rebuilds the driver through
-    /// [`crate::engine::Protocol::class_driver`] and replays the blob over
-    /// it. Returning `None` (the default) declares the driver
+    /// Capture the driver's state for [`crate::checkpoint`] as a serde
+    /// value; it must carry the member set. A restore rebuilds the driver
+    /// through [`crate::engine::Protocol::class_driver`] and decodes the
+    /// value over it. Returning `None` (the default) declares the driver
     /// non-checkpointable: a snapshot with such a class live fails.
-    fn save_state(&self) -> Option<Vec<u64>> {
+    fn save_state(&self) -> Option<Value> {
         None
     }
 
     /// Restore the state captured by [`ClassDriver::save_state`] onto a
-    /// freshly constructed driver (before any `admit` calls beyond the
-    /// opening one are replayed — the blob must carry the member set).
-    /// Returns `false` (the default) when the driver cannot restore.
-    fn restore_state(&mut self, _state: &[u64]) -> bool {
-        false
+    /// freshly constructed driver that has admitted no member. The value
+    /// is outside input: refuse a malformed one with an error. The default
+    /// refuses every value.
+    fn restore_state(&mut self, _state: &Value) -> Result<(), DeError> {
+        Err(DeError::msg("class driver does not restore state"))
     }
 }
 
@@ -421,11 +421,8 @@ impl ClassSet {
                     c.tag
                 )));
             };
-            if !driver.restore_state(&c.state) {
-                return Err(CheckpointError::Unsupported(format!(
-                    "class driver (tag {}) rejected its state blob",
-                    c.tag
-                )));
+            if let Err(e) = driver.restore_state(&c.state) {
+                return mismatch(&format!("class driver (tag {}) state: {e}", c.tag));
             }
             if driver.live() as u64 != c.live {
                 return mismatch("restored class live count differs from the checkpoint");

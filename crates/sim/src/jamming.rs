@@ -44,7 +44,7 @@
 use crate::job::JobId;
 use crate::message::Payload;
 use rand::{Rng, RngCore};
-use serde::{Deserialize, Serialize};
+use serde::{DeError, Deserialize, Serialize, Value};
 
 /// What the adversary sees before deciding to jam a slot.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -111,23 +111,28 @@ pub trait Adversary: std::fmt::Debug + Send + Sync {
     /// rejected `attempts(SlotView::Silent, ..)` calls.
     fn on_silent_gap(&mut self, _gap: u64) {}
 
-    /// Serialize the adversary's *dynamic* state as a flat word blob for
-    /// [`crate::checkpoint`]. Configuration fixed at construction (budgets,
-    /// thresholds, transition probabilities) must not be included — a
-    /// restore rebuilds the adversary from its [`AdversarySpec`] and
-    /// replays the blob over it. The default (an empty blob) is correct
-    /// for stateless adversaries like the fixed [`JamPolicy`] menu;
-    /// stateful implementations must override both methods. Returning
-    /// `None` declares the adversary non-checkpointable.
-    fn save_state(&self) -> Option<Vec<u64>> {
-        Some(Vec::new())
+    /// Capture the adversary's state for [`crate::checkpoint`], typically
+    /// as its derived serde value. A restore rebuilds the adversary from
+    /// its [`AdversarySpec`] and decodes the value over it. The default
+    /// (`null`) is correct for stateless adversaries like the fixed
+    /// [`JamPolicy`] menu; stateful implementations must override both
+    /// methods. Returning `None` declares the adversary non-checkpointable.
+    fn save_state(&self) -> Option<Value> {
+        Some(Value::Null)
     }
 
-    /// Restore the dynamic state captured by [`Adversary::save_state`]
-    /// onto a freshly constructed instance. Returns `false` when the blob
-    /// does not match (a stateless adversary accepts only an empty blob).
-    fn restore_state(&mut self, state: &[u64]) -> bool {
-        state.is_empty()
+    /// Restore the state captured by [`Adversary::save_state`] onto a
+    /// freshly constructed instance. The value is outside input: refuse a
+    /// malformed one, including one that breaks an invariant the
+    /// constructor asserts (a stateless adversary accepts only `null`).
+    fn restore_state(&mut self, state: &Value) -> Result<(), DeError> {
+        match state {
+            Value::Null => Ok(()),
+            other => Err(DeError::msg(format!(
+                "stateless adversary got {}",
+                other.kind()
+            ))),
+        }
     }
 
     /// Clone into a boxed trait object (drives `Jammer: Clone`).
@@ -186,7 +191,7 @@ impl Adversary for JamPolicy {
 /// success) to the adaptive variant that saves every shot for data
 /// messages — coordination traffic passes untouched while delivery is
 /// attacked with the full budget.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub struct BudgetedJammer {
     budget: u64,
     spent: u64,
@@ -230,18 +235,13 @@ impl Adversary for BudgetedJammer {
         target
     }
 
-    fn save_state(&self) -> Option<Vec<u64>> {
-        Some(vec![self.spent])
+    fn save_state(&self) -> Option<Value> {
+        Some(self.to_value())
     }
 
-    fn restore_state(&mut self, state: &[u64]) -> bool {
-        match state {
-            [spent] => {
-                self.spent = *spent;
-                true
-            }
-            _ => false,
-        }
+    fn restore_state(&mut self, state: &Value) -> Result<(), DeError> {
+        *self = Self::from_value(state)?;
+        Ok(())
     }
 
     fn clone_box(&self) -> Box<dyn Adversary> {
@@ -256,7 +256,7 @@ impl Adversary for BudgetedJammer {
 /// the first `k` would-be successes of each new stretch — the paper's
 /// "skew the estimate `n_ℓ`" attack, aimed at the early pings that anchor
 /// each estimation window.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub struct ReactiveJammer {
     k: u64,
     reset_gap: u64,
@@ -315,19 +315,17 @@ impl Adversary for ReactiveJammer {
         }
     }
 
-    fn save_state(&self) -> Option<Vec<u64>> {
-        Some(vec![self.jammed_this_phase, self.silent_run])
+    fn save_state(&self) -> Option<Value> {
+        Some(self.to_value())
     }
 
-    fn restore_state(&mut self, state: &[u64]) -> bool {
-        match state {
-            [jammed, silent] => {
-                self.jammed_this_phase = *jammed;
-                self.silent_run = *silent;
-                true
-            }
-            _ => false,
+    fn restore_state(&mut self, state: &Value) -> Result<(), DeError> {
+        let saved = Self::from_value(state)?;
+        if saved.reset_gap == 0 {
+            return Err(DeError::msg("reactive jammer reset_gap must be >= 1"));
         }
+        *self = saved;
+        Ok(())
     }
 
     fn clone_box(&self) -> Box<dyn Adversary> {
@@ -344,7 +342,7 @@ impl Adversary for ReactiveJammer {
 /// Because the state transition draws randomness every slot regardless of
 /// traffic, this adversary is idle-striking: the engine must visit every
 /// slot with live jobs individually (no silent-gap fast-forward).
-#[derive(Debug, Clone, Copy, PartialEq)]
+#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct GilbertElliott {
     p_enter: f64,
     p_exit: f64,
@@ -396,18 +394,20 @@ impl Adversary for GilbertElliott {
         true
     }
 
-    fn save_state(&self) -> Option<Vec<u64>> {
-        Some(vec![u64::from(self.bad)])
+    fn save_state(&self) -> Option<Value> {
+        Some(self.to_value())
     }
 
-    fn restore_state(&mut self, state: &[u64]) -> bool {
-        match state {
-            [bad @ (0 | 1)] => {
-                self.bad = *bad == 1;
-                true
-            }
-            _ => false,
+    fn restore_state(&mut self, state: &Value) -> Result<(), DeError> {
+        let saved = Self::from_value(state)?;
+        if ![saved.p_enter, saved.p_exit]
+            .iter()
+            .all(|p| (0.0..=1.0).contains(p))
+        {
+            return Err(DeError::msg("transition probabilities must be in [0,1]"));
         }
+        *self = saved;
+        Ok(())
     }
 
     fn clone_box(&self) -> Box<dyn Adversary> {
@@ -560,25 +560,27 @@ impl Jammer {
         self.adversary.on_silent_gap(gap);
     }
 
-    /// Serialize the adversary's dynamic state for a checkpoint (see
+    /// Capture the adversary's state for a checkpoint (see
     /// [`Adversary::save_state`]). `None` means this jammer cannot be
     /// checkpointed.
-    pub fn adversary_state(&self) -> Option<Vec<u64>> {
+    pub fn adversary_state(&self) -> Option<Value> {
         self.adversary.save_state()
     }
 
     /// Restore the jam counters and adversary state captured by a
-    /// checkpoint. The adversary itself must already be configured
-    /// identically to the one that was snapshotted (same spec, same
-    /// `p_jam`); only dynamic state is replayed. Returns `false` when the
-    /// adversary rejects the blob.
-    pub fn restore(&mut self, attempted: u64, succeeded: u64, adversary: &[u64]) -> bool {
-        if !self.adversary.restore_state(adversary) {
-            return false;
-        }
+    /// checkpoint. The adversary itself must already be built from the
+    /// same spec as the one that was snapshotted, with the same `p_jam`.
+    /// Fails when the adversary refuses its state.
+    pub fn restore(
+        &mut self,
+        attempted: u64,
+        succeeded: u64,
+        adversary: &Value,
+    ) -> Result<(), DeError> {
+        self.adversary.restore_state(adversary)?;
         self.jams_attempted = attempted;
         self.jams_succeeded = succeeded;
-        true
+        Ok(())
     }
 
     /// Replace the adversary (and its `p_jam`) mid-run, keeping the jam

@@ -26,6 +26,7 @@
 //! [`CohortTx::Constant`]: crate::engine::CohortTx::Constant
 //! [`CohortTx::OneShot`]: crate::engine::CohortTx::OneShot
 
+use crate::checkpoint::{BucketSnap, KernelSnap};
 use crate::crng;
 use crate::job::JobSpec;
 use std::cmp::Reverse;
@@ -287,63 +288,106 @@ impl SlotKernel {
         }
     }
 
-    /// Serialize kernel state as a flat word list for `crate::checkpoint`:
-    /// buckets (`p_bits`, deadline, lane jobs, alive mask), the one-shot
-    /// calendar in ascending `(slot, idx)` order, the pending-per-deadline
-    /// map, and the set of jobs still homed in the calendar. Lane *keys*
-    /// and the derived counters are not stored — they are recomputed on
-    /// load from the engine's job-key column. The explicit `Home::Shot`
-    /// list is required because a fired-but-collided one-shot has left the
-    /// calendar heap yet stays pending (and homed) until its deadline.
-    pub(crate) fn save(&self) -> Vec<u64> {
-        let mut w = Vec::new();
-        w.push(self.berns.len() as u64);
-        for b in &self.berns {
-            w.push(b.p_bits);
-            w.push(b.deadline);
-            w.push(b.jobs.len() as u64);
-            w.extend(b.jobs.iter().map(|&j| u64::from(j)));
-            w.extend_from_slice(&b.alive);
+    /// Capture kernel state for a checkpoint (see [`KernelSnap`]).
+    pub(crate) fn save(&self) -> KernelSnap {
+        let mut shots: Vec<(u64, u32)> = self.shots.iter().map(|&Reverse(e)| e).collect();
+        shots.sort_unstable();
+        KernelSnap {
+            buckets: self
+                .berns
+                .iter()
+                .map(|b| BucketSnap {
+                    p_bits: b.p_bits,
+                    deadline: b.deadline,
+                    jobs: b.jobs.clone(),
+                    alive: b.alive.clone(),
+                })
+                .collect(),
+            shots,
+            shot_live: self.shot_live.iter().map(|(&d, &n)| (d, n)).collect(),
+            shot_homes: (0..self.homes.len() as u32)
+                .filter(|&i| self.homes[i as usize] == Home::Shot)
+                .collect(),
         }
-        // `into_sorted_vec` ascends in `Reverse` order (= descending
-        // `(slot, idx)`); reversing restores ascending calendar order.
-        let shots = self.shots.clone().into_sorted_vec();
-        w.push(shots.len() as u64);
-        for Reverse((s, idx)) in shots.into_iter().rev() {
-            w.push(s);
-            w.push(u64::from(idx));
-        }
-        w.push(self.shot_live.len() as u64);
-        for (&d, &n) in &self.shot_live {
-            w.push(d);
-            w.push(n);
-        }
-        let shot_homes: Vec<u64> = (0..self.homes.len())
-            .filter(|&i| self.homes[i] == Home::Shot)
-            .map(|i| i as u64)
-            .collect();
-        w.push(shot_homes.len() as u64);
-        w.extend(shot_homes);
-        w
     }
 
     /// Rebuild kernel state from [`SlotKernel::save`] output. `keys` is
     /// the engine's per-job counter-key column (lane keys are re-derived
     /// rather than stored); the derived counters (`live`, `bern_live`,
     /// `pending`) are recomputed. Must be called after
-    /// [`SlotKernel::prepare`], for a run paused before `slot`. Returns
-    /// `false` on a malformed word list, including a calendar entry that is
-    /// already past or names a job not homed in the calendar, and a
-    /// pending-per-deadline map that disagrees with the homed jobs'
-    /// deadlines in `specs`.
-    pub(crate) fn load(&mut self, w: &[u64], keys: &[u64], specs: &[JobSpec], slot: u64) -> bool {
-        let mut w = w.iter().copied();
-        self.read(&mut w, keys).is_some()
-            && w.next().is_none()
-            && self.shots.iter().all(|&Reverse((s, idx))| {
-                s >= slot && self.homes.get(idx as usize) == Some(&Home::Shot)
-            })
-            && self.shot_live == self.homed_shots(specs, slot)
+    /// [`SlotKernel::prepare`], for a run paused before `slot`. Refuses a
+    /// job out of range or homed twice, a liveness mask that does not fit
+    /// its lanes, a calendar entry that is already past, not before its
+    /// job's deadline, listed twice or not homed in the calendar, and a
+    /// pending-per-deadline map that lists a deadline twice or disagrees
+    /// with the homed jobs' deadlines in `specs`.
+    pub(crate) fn load(
+        &mut self,
+        snap: &KernelSnap,
+        keys: &[u64],
+        specs: &[JobSpec],
+        slot: u64,
+    ) -> Result<(), &'static str> {
+        let mut home_at = |j: u32, home: Home| match self.homes.get_mut(j as usize) {
+            Some(h @ Home::None) => {
+                *h = home;
+                Ok(())
+            }
+            _ => Err("kernel job out of range or homed twice"),
+        };
+        let mut berns = Vec::with_capacity(snap.buckets.len());
+        for (bi, b) in snap.buckets.iter().enumerate() {
+            let lanes = b.jobs.len();
+            let spare = lanes % 64 != 0 && b.alive.last().is_some_and(|w| w >> (lanes % 64) != 0);
+            if b.alive.len() != lanes.div_ceil(64) || spare {
+                return Err("bucket liveness mask does not fit its lanes");
+            }
+            let mut lane_keys = Vec::with_capacity(lanes);
+            let mut live = 0;
+            for (lane, &j) in b.jobs.iter().enumerate() {
+                lane_keys.push(*keys.get(j as usize).ok_or("kernel job out of range")?);
+                if b.alive[lane / 64] >> (lane % 64) & 1 != 0 {
+                    home_at(j, Home::Bern(bi as u32, lane as u32))?;
+                    live += 1;
+                }
+            }
+            berns.push(BernBucket {
+                p: f64::from_bits(b.p_bits),
+                p_bits: b.p_bits,
+                deadline: b.deadline,
+                keys: lane_keys,
+                jobs: b.jobs.clone(),
+                alive: b.alive.clone(),
+                live,
+            });
+        }
+        for &j in &snap.shot_homes {
+            home_at(j, Home::Shot)?;
+        }
+        let mut queued = vec![false; self.homes.len()];
+        for &(s, idx) in &snap.shots {
+            let j = idx as usize;
+            if s < slot
+                || self.homes.get(j) != Some(&Home::Shot)
+                || s >= specs[j].deadline
+                || std::mem::replace(&mut queued[j], true)
+            {
+                return Err("calendar entry is past, unhomed, outside its window or repeated");
+            }
+            self.shots.push(Reverse((s, idx)));
+        }
+        for &(d, n) in &snap.shot_live {
+            if self.shot_live.insert(d, n).is_some() {
+                return Err("pending-per-deadline map lists a deadline twice");
+            }
+        }
+        if self.shot_live != self.homed_shots(specs, slot) {
+            return Err("pending-per-deadline map disagrees with the homed jobs");
+        }
+        self.bern_live = berns.iter().map(|b| b.live).sum();
+        self.pending = self.bern_live + self.shot_live.values().sum::<u64>() as usize;
+        self.berns = berns;
+        Ok(())
     }
 
     /// Jobs homed in the calendar per deadline, counting only deadlines
@@ -358,57 +402,6 @@ impl SlotKernel {
             }
         }
         live
-    }
-
-    /// Parse [`SlotKernel::save`] words (see [`SlotKernel::load`]);
-    /// `None` on underrun or a job out of range.
-    fn read(&mut self, w: &mut impl Iterator<Item = u64>, keys: &[u64]) -> Option<()> {
-        for _ in 0..w.next()? {
-            let (p_bits, deadline, n_lanes) = (w.next()?, w.next()?, w.next()? as usize);
-            let (mut jobs, mut lane_keys) = (Vec::new(), Vec::new());
-            for _ in 0..n_lanes {
-                let j = w.next()?;
-                lane_keys.push(*keys.get(j as usize)?);
-                jobs.push(j as u32);
-            }
-            let alive = (0..n_lanes.div_ceil(64))
-                .map(|_| w.next())
-                .collect::<Option<Vec<u64>>>()?;
-            let bi = self.berns.len() as u32;
-            let mut live = 0usize;
-            for (lane, &j) in jobs.iter().enumerate() {
-                if alive[lane / 64] >> (lane % 64) & 1 != 0 {
-                    *self.homes.get_mut(j as usize)? = Home::Bern(bi, lane as u32);
-                    live += 1;
-                }
-            }
-            self.bern_live += live;
-            self.pending += live;
-            self.berns.push(BernBucket {
-                p: f64::from_bits(p_bits),
-                p_bits,
-                deadline,
-                keys: lane_keys,
-                jobs,
-                alive,
-                live,
-            });
-        }
-        for _ in 0..w.next()? {
-            let (s, idx) = (w.next()?, w.next()?);
-            self.shots.push(Reverse((s, idx as u32)));
-        }
-        for _ in 0..w.next()? {
-            let (d, n) = (w.next()?, w.next()?);
-            if self.shot_live.insert(d, n).is_some() {
-                return None;
-            }
-            self.pending += n as usize;
-        }
-        for _ in 0..w.next()? {
-            *self.homes.get_mut(w.next()? as usize)? = Home::Shot;
-        }
-        Some(())
     }
 
     /// Evaluate slot `slot`: pop due one-shot transmissions and run the
@@ -543,13 +536,13 @@ mod tests {
             out.clear();
             k.collect(slot, &mut out);
         }
-        let words = k.save();
+        let snap = k.save();
         let mut r = SlotKernel::default();
         r.prepare(8);
         let specs: Vec<JobSpec> = (0..8)
             .map(|i| JobSpec::new(i, 0, if i < 4 { 200 } else { 64 }))
             .collect();
-        assert!(r.load(&words, &ks, &specs, 20));
+        assert_eq!(r.load(&snap, &ks, &specs, 20), Ok(()));
         assert_eq!(r.pending(), k.pending());
         assert_eq!(r.bern_live(), k.bern_live());
         assert_eq!(r.next_tx(), k.next_tx());

@@ -101,7 +101,7 @@ pub use runner::{CancelToken, RunError};
 
 /// Convenient glob-import of the simulator surface.
 pub mod prelude {
-    pub use crate::checkpoint::{Checkpoint, CheckpointError, StatePack, StateReader};
+    pub use crate::checkpoint::{Checkpoint, CheckpointError};
     pub use crate::classes::{ClassCtx, ClassDriver, ClassEvent, ClassSlot};
     pub use crate::engine::{Action, Engine, EngineConfig, JobCtx, Protocol, Scheduling};
     pub use crate::jamming::{

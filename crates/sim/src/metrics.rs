@@ -82,27 +82,12 @@ impl AccessCounts {
 /// jams also appear as [`SlotCounts::jammed`]; attempts that failed their
 /// coin flip are visible only here, which is what makes attack efficacy
 /// (`succeeded / attempted` vs the configured `p_jam`) measurable.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct JamStats {
     /// Slots in which the adversary attempted a jam.
     pub attempted: u64,
     /// Attempts that succeeded (equals [`SlotCounts::jammed`]).
     pub succeeded: u64,
-}
-
-// Manual impl so a missing `jam_stats` field (surfaced as `Null` by the
-// field lookup) falls back to all-zero counters: artifacts archived
-// before the adversary counters existed must still deserialize.
-impl<'de> serde::Deserialize<'de> for JamStats {
-    fn from_value(v: &serde::Value) -> Result<Self, serde::DeError> {
-        if matches!(v, serde::Value::Null) {
-            return Ok(Self::default());
-        }
-        Ok(Self {
-            attempted: u64::from_value(serde::field(v, "attempted")?)?,
-            succeeded: u64::from_value(serde::field(v, "succeeded")?)?,
-        })
-    }
 }
 
 impl JamStats {
@@ -118,7 +103,7 @@ impl JamStats {
 /// numbers (the `slotloop` bench) can be attributed to skipped slots.
 /// Scheduling-dependent by nature — like `engine_nanos`, excluded from
 /// cross-mode equivalence comparisons.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct SchedStats {
     /// All-parked/idle stretches fast-forwarded in O(1).
     pub gap_skips: u64,
@@ -130,23 +115,6 @@ pub struct SchedStats {
     pub parks: u64,
     /// Peak number of simultaneously parked jobs.
     pub peak_parked: u64,
-}
-
-// Manual impl so a missing `sched_stats` field (surfaced as `Null` by the
-// field lookup) falls back to all-zero counters: artifacts archived before
-// the scheduler counters existed must still deserialize.
-impl<'de> serde::Deserialize<'de> for SchedStats {
-    fn from_value(v: &serde::Value) -> Result<Self, serde::DeError> {
-        if matches!(v, serde::Value::Null) {
-            return Ok(Self::default());
-        }
-        Ok(Self {
-            gap_skips: u64::from_value(serde::field(v, "gap_skips")?)?,
-            gap_slots: u64::from_value(serde::field(v, "gap_slots")?)?,
-            parks: u64::from_value(serde::field(v, "parks")?)?,
-            peak_parked: u64::from_value(serde::field(v, "peak_parked")?)?,
-        })
-    }
 }
 
 impl SchedStats {
@@ -171,27 +139,12 @@ impl SchedStats {
 /// for diagnostics, so like `declared_contention` itself this is
 /// comparable across fidelities only statistically (and exactly under
 /// dense scheduling).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Serialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
 pub struct ContentionStats {
     /// Sum of per-slot declared contention over all measured slots.
     pub declared_sum: f64,
     /// Slots covered while measurement was on (0 when tracing was off).
     pub measured_slots: u64,
-}
-
-// Manual impl so a missing `contention_stats` field (surfaced as `Null` by
-// the field lookup) falls back to zeros: artifacts archived before the
-// contention counters existed must still deserialize.
-impl<'de> serde::Deserialize<'de> for ContentionStats {
-    fn from_value(v: &serde::Value) -> Result<Self, serde::DeError> {
-        if matches!(v, serde::Value::Null) {
-            return Ok(Self::default());
-        }
-        Ok(Self {
-            declared_sum: f64::from_value(serde::field(v, "declared_sum")?)?,
-            measured_slots: u64::from_value(serde::field(v, "measured_slots")?)?,
-        })
-    }
 }
 
 impl ContentionStats {

@@ -446,6 +446,27 @@ impl EventBuf {
     }
 }
 
+// A checkpoint carries a protocol's buffer as `null`: snapshots refuse
+// probed runs, so the buffer is always disarmed there. A restored
+// protocol starts disarmed, as a factory-built one does.
+impl Serialize for EventBuf {
+    fn to_value(&self) -> serde::Value {
+        serde::Value::Null
+    }
+}
+
+impl<'de> Deserialize<'de> for EventBuf {
+    fn from_value(v: &serde::Value) -> Result<Self, serde::DeError> {
+        match v {
+            serde::Value::Null => Ok(Self::default()),
+            other => Err(serde::DeError::msg(format!(
+                "expected a disarmed event buffer (null), got {}",
+                other.kind()
+            ))),
+        }
+    }
+}
+
 /// The legacy full trace as a sink: retains every slot record. This is what
 /// `EngineConfig::record_trace` attaches, so the legacy path is bit-identical
 /// by construction.

@@ -3,7 +3,7 @@
 //! High-probability claims ("job `j` succeeds with probability at least
 //! `1 − 1/w^Θ(λ)`") are validated empirically by running many independent
 //! trials. [`run_trials`] fans trials out over OS threads with
-//! `crossbeam::scope`; each trial derives its own seed from the batch master
+//! `std::thread::scope`; each trial derives its own seed from the batch master
 //! seed, so results are independent of thread count and scheduling.
 //!
 //! ## Engine reuse
@@ -181,16 +181,6 @@ impl RunStats {
             self.wall / self.trials.min(u64::from(u32::MAX)) as u32
         }
     }
-
-    /// Trial throughput in trials per second (0.0 for an instant batch).
-    pub fn trials_per_sec(&self) -> f64 {
-        let secs = self.wall.as_secs_f64();
-        if secs > 0.0 {
-            self.trials as f64 / secs
-        } else {
-            0.0
-        }
-    }
 }
 
 /// Run `trials` independent trials of `f` in parallel.
@@ -268,10 +258,10 @@ where
     // First captured worker panic payload, if any.
     let mut panicked: Option<String> = None;
 
-    let scope_result = crossbeam::scope(|scope| {
+    std::thread::scope(|scope| {
         let handles: Vec<_> = (0..workers)
             .map(|_| {
-                scope.spawn(|_| {
+                scope.spawn(|| {
                     let slots_before = thread_slots_executed();
                     // Work-stealing via a shared atomic counter: trials can
                     // have very uneven durations (window sizes span
@@ -333,14 +323,6 @@ where
             }
         }
     });
-    // The closure above joins every handle itself, so the scope can only
-    // fail if the *closure* panicked — which it does not. Still, treat a
-    // scope-level payload like a worker panic rather than unwrapping.
-    if let Err(payload) = scope_result {
-        if panicked.is_none() {
-            panicked = Some(payload_text(payload.as_ref()));
-        }
-    }
 
     if let Some(payload) = panicked {
         crate::telemetry::TRIALS_PANICKED.inc();
@@ -714,15 +696,16 @@ mod tests {
 
     mod branched {
         use super::super::*;
-        use crate::checkpoint::{StatePack, StateReader};
         use crate::engine::{Action, JobCtx};
         use crate::jamming::JamPolicy;
         use crate::message::Payload;
         use crate::slot::Feedback;
         use rand::RngCore;
+        use serde::{DeError, Deserialize, Serialize, Value};
 
         /// Persistent ALOHA with checkpoint support: transmit with
         /// probability `p` every slot until delivered.
+        #[derive(Serialize, Deserialize)]
         struct Aloha {
             p: f64,
             succeeded: bool,
@@ -753,19 +736,12 @@ mod tests {
             fn is_done(&self) -> bool {
                 self.succeeded
             }
-            fn save_state(&self) -> Option<Vec<u64>> {
-                let mut p = StatePack::new();
-                p.flag(self.succeeded);
-                Some(p.finish())
+            fn save_state(&self) -> Option<Value> {
+                Some(self.to_value())
             }
-            fn restore_state(&mut self, state: &[u64]) -> bool {
-                let mut r = StateReader::new(state);
-                let Some(s) = r.flag() else { return false };
-                if !r.done() {
-                    return false;
-                }
-                self.succeeded = s;
-                true
+            fn restore_state(&mut self, state: &Value) -> Result<(), DeError> {
+                *self = Self::from_value(state)?;
+                Ok(())
             }
         }
 

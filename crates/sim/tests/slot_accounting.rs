@@ -11,7 +11,8 @@ use dcr_sim::prelude::*;
 use rand::Rng;
 
 /// Transmit data with probability 0.1 every slot. Memoryless: the engine
-/// retires the job on its success, so the state blob is empty.
+/// retires the job on its success, so its state is the unit value.
+#[derive(serde::Serialize, serde::Deserialize)]
 struct Memoryless;
 
 impl Protocol for Memoryless {
@@ -23,12 +24,13 @@ impl Protocol for Memoryless {
         }
     }
 
-    fn save_state(&self) -> Option<Vec<u64>> {
-        Some(Vec::new())
+    fn save_state(&self) -> Option<serde::Value> {
+        Some(serde::Serialize::to_value(self))
     }
 
-    fn restore_state(&mut self, state: &[u64]) -> bool {
-        state.is_empty()
+    fn restore_state(&mut self, state: &serde::Value) -> Result<(), serde::DeError> {
+        *self = serde::Deserialize::from_value(state)?;
+        Ok(())
     }
 }
 

@@ -74,11 +74,6 @@ impl Summary {
         self.variance().sqrt()
     }
 
-    /// Standard error of the mean.
-    pub fn std_err(&self) -> f64 {
-        self.std_dev() / (self.n as f64).sqrt()
-    }
-
     /// Minimum sample (`+inf` when empty).
     pub fn min(&self) -> f64 {
         self.min

@@ -161,11 +161,6 @@ impl Histogram {
         self.sum_nanos.fetch_add(nanos, Ordering::Relaxed);
     }
 
-    /// Record a duration (converted to seconds).
-    pub fn observe_duration(&self, d: std::time::Duration) {
-        self.observe(d.as_secs_f64());
-    }
-
     /// The finite bucket bounds.
     pub fn bounds(&self) -> &[f64] {
         &self.bounds

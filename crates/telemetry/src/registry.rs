@@ -387,12 +387,6 @@ impl CollectorBuf {
     pub fn gauge_f64(&mut self, name: &str, help: &str, value: f64) {
         self.push(name, help, "gauge", SampleValue::F64(value));
     }
-
-    /// Append an unlabeled integer counter family (for mirroring a
-    /// foreign subsystem's monotone counter at scrape time).
-    pub fn counter_u64(&mut self, name: &str, help: &str, value: u64) {
-        self.push(name, help, "counter", SampleValue::U64(value));
-    }
 }
 
 // ---------------------------------------------------------------------------

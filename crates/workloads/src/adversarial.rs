@@ -20,7 +20,7 @@
 //! as one named unit instead of re-deriving the pairing ad hoc.
 
 use crate::instance::Instance;
-use dcr_sim::jamming::{AdversarySpec, JamPolicy, Jammer};
+use dcr_sim::jamming::{AdversarySpec, Jammer};
 use dcr_sim::job::JobSpec;
 
 /// The Lemma 5 harmonic burst (`w_j = j·inv_gamma`, all released together)
@@ -161,17 +161,6 @@ pub fn burst_outage_attack(
         name: format!("burst(L={burst_len},duty={duty})"),
         instance: crate::generators::batch(n, 1u64 << class),
         adversary: AdversarySpec::Bursty { p_enter, p_exit },
-        p_jam,
-    }
-}
-
-/// The stateless reference attack: jam every would-be success with the
-/// given `p_jam` (the adversary of Theorem 14's robustness claim).
-pub fn stochastic_attack(class: u32, n: usize, p_jam: f64) -> AttackScenario {
-    AttackScenario {
-        name: format!("stochastic(p={p_jam})"),
-        instance: crate::generators::batch(n, 1u64 << class),
-        adversary: AdversarySpec::Policy(JamPolicy::AllSuccesses),
         p_jam,
     }
 }

@@ -68,15 +68,6 @@ impl Instance {
         h
     }
 
-    /// Jobs sharing exactly the window `[release, deadline)`.
-    pub fn jobs_with_window(&self, release: u64, deadline: u64) -> Vec<JobSpec> {
-        self.jobs
-            .iter()
-            .filter(|j| j.release == release && j.deadline == deadline)
-            .copied()
-            .collect()
-    }
-
     /// Merge another instance's jobs into this one (ids are renumbered).
     pub fn merged(mut self, other: Instance) -> Instance {
         self.jobs.extend(other.jobs);

@@ -12,14 +12,16 @@
 mod testkit;
 
 use contention_deadlines::protocols::{AlignedParams, AlignedProtocol};
-use contention_deadlines::sim::checkpoint::{Checkpoint, CheckpointError};
+use contention_deadlines::sim::checkpoint::{Checkpoint, CheckpointError, KernelSnap};
 use contention_deadlines::sim::engine::{Engine, EngineConfig};
 use contention_deadlines::sim::jamming::{JamPolicy, Jammer};
 use contention_deadlines::sim::job::JobSpec;
+use dcr_bench::experiments::util::PersistentP;
 use proptest::prelude::*;
 use serde_json::{Number, Value};
 use testkit::{
-    arb_case, check, check_case, grid, protocol_pick, staggered, ALL, OBSERVED, RESTORE, VECTORIZED,
+    arb_case, check, check_case, grid, jammer, population, protocol_pick, staggered, Case, Pop,
+    ALL, OBSERVED, RESTORE, VECTORIZED,
 };
 
 #[test]
@@ -156,6 +158,14 @@ fn tampered_checkpoints_are_mismatches() {
         "a version-2 checkpoint must be a mismatch"
     );
 
+    // A version-3 image carried protocol, adversary and kernel state as
+    // packed words; the version refuses it before any state is decoded.
+    let v3 = Checkpoint { version: 3, ..ck };
+    assert!(
+        refused(EngineConfig::default().cohort(), &v3),
+        "a version-3 checkpoint must be a mismatch"
+    );
+
     // A parked entry before the wake queue's base (a wake in the past).
     let mut ck = snapshot(EngineConfig::default());
     assert!(ck.parked.base > 0, "the pause is past slot 0");
@@ -167,21 +177,27 @@ fn tampered_checkpoints_are_mismatches() {
 
     // A pending-per-deadline count moved off its jobs' deadline (a later
     // delivery would find no pending count to decrement), or listed twice
-    // (its jobs would pend twice over).
+    // (its jobs would pend twice over); a calendar entry before the pause
+    // (it would never pop).
     let ck = snapshot(EngineConfig::default().vectorized());
-    let at = first_shot_live_deadline(&ck.kernel);
-    let mut kernels: Vec<Vec<u64>> = [0, ck.slot, ck.kernel[at] + 1000]
+    let (deadline, pending) = *ck.kernel.shot_live.first().expect("a pending one-shot");
+    let mut kernels: Vec<KernelSnap> = [0, ck.slot, deadline + 1000]
         .into_iter()
-        .map(|deadline| {
+        .map(|moved| {
             let mut kernel = ck.kernel.clone();
-            kernel[at] = deadline;
+            kernel.shot_live[0].0 = moved;
             kernel
         })
         .collect();
     let mut twice = ck.kernel.clone();
-    twice[at - 1] += 1;
-    twice.splice(at..at, ck.kernel[at..at + 2].to_vec());
+    twice.shot_live.insert(0, (deadline, pending));
     kernels.push(twice);
+    let mut past = ck.kernel.clone();
+    past.shots
+        .first_mut()
+        .expect("a calendar entry at the pause")
+        .0 = ck.slot - 1;
+    kernels.push(past);
     for kernel in kernels {
         let tampered = Checkpoint {
             kernel,
@@ -189,22 +205,138 @@ fn tampered_checkpoints_are_mismatches() {
         };
         assert!(
             refused(EngineConfig::default().vectorized(), &tampered),
-            "a tampered one-shot count must be a mismatch"
+            "a tampered kernel snapshot must be a mismatch"
         );
     }
 }
 
-/// Index of the first deadline in a kernel blob's pending-per-deadline
-/// map. The blob is Bernoulli buckets (`p_bits`, deadline, lane count,
-/// lanes, alive words), then the calendar (count, `(slot, job)` pairs),
-/// then the map (count, `(deadline, pending)` pairs).
-fn first_shot_live_deadline(kernel: &[u64]) -> usize {
-    let mut at = 1;
-    for _ in 0..kernel[0] {
-        let lanes = kernel[at + 2] as usize;
-        at += 3 + lanes + lanes.div_ceil(64);
+/// A fresh engine built like `case`: the snapshot source and the restore
+/// target.
+fn engine(case: &Case) -> Engine {
+    let mut e = Engine::new(case.pop.config.clone(), case.seed);
+    e.set_jammer(case.adv.jammer());
+    e.add_jobs(&case.pop.jobs, |s| (case.pop.factory)(s));
+    e
+}
+
+/// The first number in `v`, depth first.
+fn first_number(v: &mut Value) -> Option<&mut Value> {
+    if matches!(v, Value::Number(_)) {
+        return Some(v);
     }
-    at += 1 + 2 * kernel[at] as usize;
-    assert!(kernel[at] > 0, "a pending one-shot at the pause");
-    at + 1
+    match v {
+        Value::Array(items) => items.iter_mut().find_map(first_number),
+        Value::Object(fields) => fields.iter_mut().find_map(|(_, v)| first_number(v)),
+        _ => None,
+    }
+}
+
+/// Rewrites of `state` its restore must refuse: a string for its first
+/// number (for the whole value when it has none), its first field
+/// dropped, and each `(field, value)` of `bad` (the whole value for an
+/// empty field name).
+fn malformed(state: &Value, bad: &[(&str, Value)]) -> Vec<Value> {
+    let mut typed = state.clone();
+    match first_number(&mut typed) {
+        Some(n) => *n = Value::String("7".into()),
+        None => typed = Value::String("7".into()),
+    }
+    let mut out = vec![typed];
+    if let Value::Object(fields) = state {
+        out.push(Value::Object(fields[1..].to_vec()));
+    }
+    for (field, value) in bad {
+        let mut edited = state.clone();
+        match *field {
+            "" => edited = value.clone(),
+            field => *member(&mut edited, field) = value.clone(),
+        }
+        out.push(edited);
+    }
+    out
+}
+
+/// Every checkpointable protocol, the aggregate class driver and every
+/// adversary refuse a wrong-typed, incomplete or out-of-range state with
+/// a typed mismatch at restore, never a panic.
+#[test]
+fn malformed_state_is_refused_without_panic() {
+    let (u, f) = (
+        |x| Value::Number(Number::U(x)),
+        |x| Value::Number(Number::F(x)),
+    );
+    // A batch paused early, while every pick still has live jobs.
+    let pick = |k: usize| {
+        let jobs = (0..24).map(|i| JobSpec::new(i, 0, 240)).collect();
+        let mut pop = Pop::new(
+            &format!("pick{k}"),
+            EngineConfig::default(),
+            jobs,
+            move |_| protocol_pick(k),
+        );
+        pop.pauses = vec![30];
+        pop
+    };
+    let persistent = Pop::new(
+        "persistent",
+        EngineConfig::default(),
+        staggered(16, 5, 240),
+        |_| Box::new(PersistentP(0.05)),
+    );
+    // (population, adversary, the state edited, out-of-range edits).
+    let cells = vec![
+        (pick(0), "clean", "protocol", vec![("attempts", u(0))]),
+        (pick(1), "clean", "protocol", vec![("attempts", u(0))]),
+        (pick(2), "clean", "protocol", vec![("exp", u(63))]),
+        (pick(3), "clean", "protocol", vec![("cap", u(3))]),
+        (pick(4), "clean", "protocol", vec![]),
+        (pick(5), "clean", "protocol", vec![("p", f(2.0))]),
+        (
+            population("metronome"),
+            "clean",
+            "protocol",
+            vec![("mode", u(2)), ("heard", u(5))],
+        ),
+        (persistent, "clean", "protocol", vec![("", f(1.5))]),
+        (population("class-aloha"), "clean", "class", vec![]),
+        (pick(3), "all", "adversary", vec![]),
+        (pick(3), "budget", "adversary", vec![]),
+        (pick(3), "reactive", "adversary", vec![("reset_gap", u(0))]),
+        (pick(3), "bursty", "adversary", vec![("p_enter", f(1.5))]),
+    ];
+    for (pop, adv, part, bad) in cells {
+        let name = format!("{} under {adv}, {part} state", pop.name);
+        let case = Case::new(pop, jammer(adv), 0);
+        let mut src = engine(&case);
+        src.run_to(case.pause);
+        let ck = src.snapshot().unwrap_or_else(|e| panic!("{name}: {e}"));
+        engine(&case)
+            .restore(&ck)
+            .expect("the untouched image restores");
+        let job = ck.protocol_state.iter().position(Option::is_some);
+        let state = match part {
+            "protocol" => {
+                ck.protocol_state[job.unwrap_or_else(|| panic!("{name}: no live protocol"))].clone()
+            }
+            "class" => ck.classes.first().map(|c| c.state.clone()),
+            _ => Some(ck.adversary.clone()),
+        }
+        .expect("state at the pause");
+        for edited in malformed(&state, &bad) {
+            let mut tampered = ck.clone();
+            match part {
+                "protocol" => {
+                    tampered.protocol_state
+                        [job.unwrap_or_else(|| panic!("{name}: no live protocol"))] = Some(edited)
+                }
+                "class" => tampered.classes[0].state = edited,
+                _ => tampered.adversary = edited,
+            }
+            let got = engine(&case).restore(&tampered);
+            assert!(
+                matches!(got, Err(CheckpointError::Mismatch(_))),
+                "{name}: expected a mismatch, got {got:?}"
+            );
+        }
+    }
 }

@@ -136,21 +136,29 @@ fn sim_report_with_jam_stats_roundtrips() {
 
 #[test]
 fn sim_report_without_jam_stats_field_still_loads() {
-    // Artifacts archived before the adversary counters existed lack the
-    // `jam_stats` field; deserialization must default it, not fail.
+    // Artifacts archived before the adversary, scheduler and contention
+    // counters existed lack those fields; deserialization must default
+    // them, not fail.
     use contention_deadlines::protocols::Uniform;
+    use contention_deadlines::sim::metrics::{ContentionStats, SchedStats};
     let inst = batch(2, 32);
     let mut e = Engine::new(EngineConfig::default(), 13);
     e.add_jobs(&inst.jobs, |_| Box::new(Uniform::single()));
     let report = e.run();
+    assert_ne!(report.sched_stats, SchedStats::default());
     let mut json: serde_json::Value = serde_json::to_value(&report).expect("serialize");
+    let legacy = ["jam_stats", "sched_stats", "contention_stats"];
     match &mut json {
-        serde_json::Value::Object(pairs) => pairs.retain(|(key, _)| key != "jam_stats"),
+        serde_json::Value::Object(pairs) => {
+            pairs.retain(|(key, _)| !legacy.contains(&key.as_str()))
+        }
         other => panic!("SimReport should serialize to an object, got {other:?}"),
     }
     let back: contention_deadlines::sim::metrics::SimReport =
         serde_json::from_value(&json).expect("deserialize legacy report");
     assert_eq!(back.jam_stats, JamStats::default());
+    assert_eq!(back.sched_stats, SchedStats::default());
+    assert_eq!(back.contention_stats, ContentionStats::default());
     assert_eq!(back.counts, report.counts);
 }
 
