@@ -38,7 +38,7 @@ fn trial(n: u32, seed: u64) -> (bool, f64, f64) {
         );
     }
     let r = e.run();
-    let trace = r.trace.as_ref().expect("trace");
+    let trace = r.trace().expect("trace");
     let anchor = find_round_anchor(trace).unwrap_or(0);
 
     // Number of slots `s` in `[start, end)` with `(s - anchor) % ROUND_LEN
@@ -55,7 +55,7 @@ fn trial(n: u32, seed: u64) -> (bool, f64, f64) {
         }
     };
     let mut elected = false;
-    let mut contention_sum = 0.0;
+    let mut declared_sum = 0.0;
     let mut election_slots = 0u64;
     for rec in trace {
         let end = rec.slot + rec.covered_slots();
@@ -67,11 +67,11 @@ fn trial(n: u32, seed: u64) -> (bool, f64, f64) {
             // every job was asleep, i.e. zero declared contention there.
             election_slots += pos7_in(rec.slot.max(anchor), end);
             if rec.slot >= anchor && (rec.slot - anchor) % ROUND_LEN == 7 {
-                contention_sum += rec.declared_contention;
+                declared_sum += rec.declared_contention;
             }
         } else if rec.slot >= anchor && (rec.slot - anchor) % ROUND_LEN == 7 {
             election_slots += 1;
-            contention_sum += rec.declared_contention;
+            declared_sum += rec.declared_contention;
             if let SlotOutcome::Success { .. } = rec.outcome {
                 if matches!(rec.payload, Some(Payload::Control(c)) if c.kind == KIND_CLAIM) {
                     elected = true;
@@ -82,7 +82,7 @@ fn trial(n: u32, seed: u64) -> (bool, f64, f64) {
     let mean_c = if election_slots == 0 {
         0.0
     } else {
-        contention_sum / election_slots as f64
+        declared_sum / election_slots as f64
     };
     (elected, mean_c, r.success_fraction())
 }

@@ -53,7 +53,7 @@ fn trial(n: u32, params: PunctualParams, seed: u64) -> Trial {
         );
     }
     let r = e.run();
-    let trace = r.trace.as_ref().expect("trace");
+    let trace = r.trace().expect("trace");
     let anchor = find_round_anchor(trace).unwrap_or(0);
     let mut anarchy = 0;
     let mut other = 0;

@@ -56,7 +56,7 @@ pub fn run(cfg: &ExpConfig) -> ExpOutput {
         cfg.seed,
         AlignedProtocol::factory(params),
     );
-    let trace = report.trace.as_ref().expect("trace enabled");
+    let trace = report.trace().expect("trace enabled");
 
     // Replay a global tracker over the public history to label each slot.
     // Run-length-encoded silent gaps expand to one silent slot each: the

@@ -187,7 +187,7 @@ mod tests {
         assert_eq!(r.successes(), 0);
         assert_eq!(r.slots_run, 500);
         // Contention declared every slot ≈ 1.0.
-        let t = r.trace.as_ref().unwrap();
+        let t = r.trace().unwrap();
         assert!((t[100].declared_contention - 1.0).abs() < 1e-9);
     }
 

@@ -780,6 +780,29 @@ mod tests {
     }
 
     #[test]
+    fn spec_missing_a_protocol_parameter_is_refused_at_parse() {
+        // A dropped key is a decode error naming the field, not a NaN left
+        // for the range check; absent `Option` fields still read as None.
+        let spec = r#"{
+            "protocol": {"Aloha": {}},
+            "workload": {"Batch": {"n": 4, "w": 16}},
+            "fidelity": "Exact",
+            "scheduling": "EventDriven",
+            "seed": 42,
+            "trials": 10
+        }"#;
+        let err = serde_json::from_str::<ExperimentSpec>(spec).unwrap_err();
+        assert!(err.to_string().contains("missing field `p`"), "{err}");
+        let with_p = spec.replace(r#"{"Aloha": {}}"#, r#"{"Aloha": {"p": 0.5}}"#);
+        let parsed: ExperimentSpec = serde_json::from_str(&with_p).unwrap();
+        assert_eq!(parsed.protocol, ProtocolSpec::Aloha { p: 0.5 });
+        assert_eq!(
+            (parsed.adversary, parsed.probe, parsed.max_slots),
+            (None, None, None)
+        );
+    }
+
+    #[test]
     fn cache_key_tracks_semantic_fields_and_code_version() {
         let base = quick_spec();
         let key = cache_key(&base, "v1");

@@ -136,7 +136,7 @@ mod tests {
     }
 
     #[test]
-    fn contention_sums() {
+    fn contention_adds_probabilities() {
         assert!((contention(&[0.1, 0.2, 0.3]) - 0.6).abs() < 1e-15);
     }
 }

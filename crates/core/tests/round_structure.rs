@@ -24,7 +24,7 @@ fn run_traced(n: u32, w: u64, stagger: u64, seed: u64) -> Vec<SlotRecord> {
             Box::new(PunctualProtocol::new(PunctualParams::laptop())),
         );
     }
-    e.run().trace.expect("trace enabled")
+    e.run().trace().expect("trace enabled").to_vec()
 }
 
 fn busy(rec: &SlotRecord) -> bool {

@@ -17,8 +17,7 @@
 //! ## What a checkpoint captures
 //!
 //! * slot cursor, pending-activation cursor, and all run accounting
-//!   ([`crate::metrics::SlotCounts`], gap-skip counters, declared-contention
-//!   sum as raw bits);
+//!   ([`crate::metrics::SlotCounts`] and gap-skip counters);
 //! * per-job outcomes, access counters, and the active set (in engine
 //!   order — `swap_remove` order is behavior, not noise);
 //! * the wake-queue calendar (entries in pop order plus lifetime counters);
@@ -42,9 +41,9 @@
 //! spec — are **not** serialized. A restore target
 //! must be rebuilt from the same inputs (same constructors, same order);
 //! the checkpoint carries a [`Checkpoint::fingerprint`] over those inputs
-//! and [`crate::engine::Engine::restore`] refuses a mismatch. Probe sinks
-//! and trace recording are also out of scope: snapshots are only permitted
-//! on unprobed, untraced runs (observability buffers are unbounded and
+//! and [`crate::engine::Engine::restore`] refuses a mismatch. Probe sinks,
+//! the slot trace among them, are also out of scope: snapshots are only
+//! permitted on unprobed runs (observability buffers are unbounded and
 //! belong to the run that made them).
 //!
 //! ## One encoding
@@ -59,7 +58,7 @@
 //! [`crate::engine::Engine::restore`] reports as a
 //! [`CheckpointError::Mismatch`]. Floats travel as JSON numbers, which
 //! round-trip a finite `f64` exactly; a non-finite one prints as `null`,
-//! so the run-level float is kept as raw bits.
+//! so a float that may be non-finite travels as raw bits.
 
 use crate::cohort::Cohort;
 use crate::duty::DutySet;
@@ -95,9 +94,6 @@ pub struct Checkpoint {
     pub gap_skips: u64,
     /// Slots covered by those fast-forwards.
     pub gap_slots: u64,
-    /// Raw bits of the running declared-contention sum (`f64::to_bits`;
-    /// bit-exact round-trip through JSON).
-    pub contention_sum_bits: u64,
     /// Per-job outcomes so far (indexed by job id).
     pub outcomes: Vec<Option<JobOutcome>>,
     /// Per-job channel-access counters (indexed by job id).
@@ -293,7 +289,6 @@ mod tests {
             },
             gap_skips: 2,
             gap_slots: 40,
-            contention_sum_bits: 1.75f64.to_bits(),
             outcomes: vec![
                 Some(JobOutcome::Success { slot: 9 }),
                 None,

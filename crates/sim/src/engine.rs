@@ -70,10 +70,8 @@ use crate::jamming::{Adversary, Jammer, SlotView};
 use crate::job::{JobId, JobSpec};
 use crate::kernel::SlotKernel;
 use crate::message::Payload;
-use crate::metrics::{
-    AccessCounts, ContentionStats, JamStats, JobOutcome, SchedStats, SimReport, SlotCounts,
-};
-use crate::probe::{ProbeBus, ProbeEvent, ProbeRecord, ProbeReport, ProbeSpec, VecSink};
+use crate::metrics::{AccessCounts, JamStats, JobOutcome, SchedStats, SimReport, SlotCounts};
+use crate::probe::{ProbeBus, ProbeEvent, ProbeRecord, ProbeReport, ProbeSpec, SinkSpec};
 use crate::rng::{SeedSeq, StreamLabel};
 use crate::sched::WakeQueue;
 use crate::slot::Feedback;
@@ -428,8 +426,6 @@ pub struct EngineConfig {
     /// Hard cap on simulated slots (safety net against livelock). When
     /// `None`, the engine runs until the last deadline.
     pub max_slots: Option<u64>,
-    /// Record a full [`SlotRecord`] trace (off for large Monte-Carlo runs).
-    pub record_trace: bool,
     /// Expose the global slot index to protocols via
     /// [`JobCtx::aligned_time`]. Only legitimate for the aligned special
     /// case (Section 3); PUNCTUAL must run with this off.
@@ -439,8 +435,8 @@ pub struct EngineConfig {
     /// How faithfully jobs are simulated (see [`Fidelity`]).
     pub fidelity: Fidelity,
     /// Probe sinks to attach (see [`crate::probe`]). `None` disables the
-    /// probe layer entirely; with `record_trace` also off, the slot loop
-    /// does no observability work beyond two branch checks.
+    /// probe layer entirely: the slot loop does no observability work
+    /// beyond two branch checks.
     pub probe: Option<ProbeSpec>,
 }
 
@@ -453,10 +449,11 @@ impl EngineConfig {
         }
     }
 
-    /// Enable trace recording.
-    pub fn with_trace(mut self) -> Self {
-        self.record_trace = true;
-        self
+    /// Record the full [`SlotRecord`] trace (off for large Monte-Carlo
+    /// runs): appends a ring sink that never evicts, read back with
+    /// [`SimReport::trace`].
+    pub fn with_trace(self) -> Self {
+        self.with_probe(ProbeSpec::new().with(SinkSpec::Ring { capacity: u64::MAX }))
     }
 
     /// Force dense polling (ignore wake hints).
@@ -471,9 +468,11 @@ impl EngineConfig {
         self
     }
 
-    /// Attach probe sinks (see [`crate::probe`]).
+    /// Append probe sinks (see [`crate::probe`]) after any already
+    /// attached.
     pub fn with_probe(mut self, spec: ProbeSpec) -> Self {
-        self.probe = Some(spec);
+        let probe = self.probe.get_or_insert_with(ProbeSpec::new);
+        probe.sinks.extend(spec.sinks);
         self
     }
 
@@ -709,9 +708,6 @@ struct RunState {
     counts: SlotCounts,
     bus: ProbeBus,
     sched_stats: SchedStats,
-    /// Running total of per-slot declared contention (diagnostic; only
-    /// accumulated while some sink records slot traces).
-    contention_sum: f64,
     /// Counter-RNG keys of the run's jammer and cohorts: each slot draws
     /// from a [`CounterRng`] positioned at `(key, slot, phase)`, so no
     /// generator state outlives a slot.
@@ -727,8 +723,8 @@ struct RunState {
     /// Job contexts carry the global clock
     /// ([`EngineConfig::expose_aligned_clock`]).
     aligned: bool,
-    /// Some sink records slot traces: slots are recorded and declared
-    /// contention is tallied.
+    /// Some sink records slot traces: slots are recorded with their
+    /// declared contention.
     wants_slots: bool,
     /// Some sink consumes protocol events.
     probed: bool,
@@ -943,13 +939,8 @@ impl Engine {
         self.kernel.prepare(self.jobs.len());
         self.cohorts.clear();
         self.duty.prepare(self.jobs.len());
-        // All observability flows through the probe bus. The legacy
-        // `record_trace` flag is a `VecSink` attached first, so its output
-        // is bit-identical to the old unconditional trace Vec.
+        // All observability flows through the probe bus.
         let mut bus = ProbeBus::new();
-        if self.config.record_trace {
-            bus.push(Box::new(VecSink::new()));
-        }
         if let Some(spec) = &self.config.probe {
             for sink in &spec.sinks {
                 bus.push(sink.build());
@@ -964,7 +955,6 @@ impl Engine {
             probed: bus.wants_events(),
             bus,
             sched_stats: SchedStats::default(),
-            contention_sum: 0.0,
             jam_key: self.seeds.derive(StreamLabel::Jammer, 0),
             cohort_key: self.seeds.derive(StreamLabel::Cohort, 0),
             slot: 0,
@@ -1103,20 +1093,6 @@ impl Engine {
                 declared_contention: 0.0,
                 payload: None,
             });
-        }
-        if st.probed {
-            for event in [
-                ProbeEvent::GapSkip { len: gap },
-                ProbeEvent::WakeQueueStats {
-                    parked: self.parked.len() as u32,
-                },
-            ] {
-                st.bus.on_event(&ProbeRecord {
-                    slot: st.slot,
-                    job: None,
-                    event,
-                });
-            }
         }
         st.slot = until;
         until < st.max_slots
@@ -1378,7 +1354,6 @@ impl Engine {
                 declared_contention: self.scratch.declared,
                 payload: feedback.payload().copied(),
             });
-            st.contention_sum += self.scratch.declared;
         }
         (feedback, delivered)
     }
@@ -1642,10 +1617,8 @@ impl Engine {
             counts,
             mut bus,
             mut sched_stats,
-            contention_sum,
             slot,
             engine_nanos,
-            wants_slots,
             probed,
             ..
         } = st;
@@ -1694,20 +1667,9 @@ impl Engine {
         sched_stats.parks = self.parked.pushes();
         sched_stats.peak_parked = self.parked.peak() as u64;
 
-        let mut outputs = bus.finish();
-        let trace = if self.config.record_trace {
-            match outputs.remove(0) {
-                crate::probe::ProbeOutput::Trace(t) => Some(t),
-                other => unreachable!("VecSink is attached first, got {other:?}"),
-            }
-        } else {
-            None
-        };
-        let probes = if self.config.probe.is_some() {
-            Some(ProbeReport { outputs })
-        } else {
-            None
-        };
+        let probes = self.config.probe.as_ref().map(|_| ProbeReport {
+            outputs: bus.finish(),
+        });
 
         let specs: Vec<JobSpec> = self.jobs.specs.clone();
         let outcomes: Vec<JobOutcome> = self.jobs.outcomes.iter().map(|o| o.unwrap()).collect();
@@ -1725,11 +1687,6 @@ impl Engine {
             self.seeds.master(),
             engine_nanos + started.elapsed().as_nanos().min(u128::from(u64::MAX)) as u64,
             sched_stats,
-            ContentionStats {
-                declared_sum: contention_sum,
-                measured_slots: if wants_slots { slot } else { 0 },
-            },
-            trace,
             probes,
         )
     }
@@ -1766,12 +1723,12 @@ impl Engine {
     ///
     /// The engine must be paused at a slot boundary by [`Engine::run_to`]
     /// with slots still ahead of it, and the run must be unobserved (no
-    /// trace, no probe sinks). Every live job's protocol, every live class
-    /// driver, and the adversary must support state capture; see the
-    /// [`crate::checkpoint`] module docs for what that means and for the
-    /// known-unsupported cases (e.g. eject-materialized takeover
-    /// protocols, which are live jobs whose state a factory cannot
-    /// rebuild unless their protocol implements
+    /// probe sinks, the slot trace's included). Every live job's protocol,
+    /// every live class driver, and the adversary must support state
+    /// capture; see the [`crate::checkpoint`] module docs for what that
+    /// means and for the known-unsupported cases (e.g. eject-materialized
+    /// takeover protocols, which are live jobs whose state a factory
+    /// cannot rebuild unless their protocol implements
     /// [`Protocol::save_state`]).
     ///
     /// The snapshot does not disturb the run: the same engine can keep
@@ -1782,9 +1739,9 @@ impl Engine {
         if st.done {
             return Err(CheckpointError::Finished);
         }
-        if self.config.record_trace || self.config.probe.is_some() {
+        if self.config.probe.is_some() {
             return Err(CheckpointError::Unsupported(
-                "trace or probe recording is active; snapshots cover unobserved runs only".into(),
+                "probe recording is active; snapshots cover unobserved runs only".into(),
             ));
         }
 
@@ -1842,7 +1799,6 @@ impl Engine {
             counts: st.counts,
             gap_skips: st.sched_stats.gap_skips,
             gap_slots: st.sched_stats.gap_slots,
-            contention_sum_bits: st.contention_sum.to_bits(),
             outcomes: self.jobs.outcomes.clone(),
             accesses: self.jobs.accesses.clone(),
             active: self.active.clone(),
@@ -1887,9 +1843,9 @@ impl Engine {
                 "restore target must be a fresh engine (jobs added, never run)".into(),
             ));
         }
-        if self.config.record_trace || self.config.probe.is_some() {
+        if self.config.probe.is_some() {
             return Err(CheckpointError::Unsupported(
-                "trace or probe recording is active; checkpoints cover unobserved runs only".into(),
+                "probe recording is active; checkpoints cover unobserved runs only".into(),
             ));
         }
         let fp = self.fingerprint();
@@ -1925,7 +1881,6 @@ impl Engine {
         st.counts = ck.counts;
         st.sched_stats.gap_skips = ck.gap_skips;
         st.sched_stats.gap_slots = ck.gap_slots;
-        st.contention_sum = f64::from_bits(ck.contention_sum_bits);
 
         self.jobs.outcomes.copy_from_slice(&ck.outcomes);
         self.jobs.accesses.copy_from_slice(&ck.accesses);
@@ -2194,12 +2149,8 @@ mod tests {
         e.add_job(JobSpec::new(1, 0, 4), Box::new(AtLocal(1)));
         e.add_job(JobSpec::new(2, 0, 6), Box::new(AtLocal(4)));
         let r = e.run();
-        let t = crate::trace::tally(r.trace.as_ref().unwrap());
-        assert_eq!(t.success, r.counts.success);
-        assert_eq!(t.collision, r.counts.collision);
-        assert_eq!(t.silent, r.counts.silent);
-        assert_eq!(t.jammed, r.counts.jammed);
-        assert_eq!(t.data_success, r.counts.data_success);
+        let t = crate::trace::tally(r.trace().unwrap());
+        assert_eq!(t, r.counts);
         assert!(t.data_success > 0, "the lone slot-4 transmitter delivers");
     }
 
@@ -2271,33 +2222,36 @@ mod tests {
 
     #[test]
     fn gap_skip_events_reach_sinks_and_sched_stats() {
-        use crate::probe::{ProbeSpec, SinkSpec};
-        let mut e = Engine::new(
-            EngineConfig::default().with_probe(ProbeSpec::new().with(SinkSpec::Events)),
-            1,
-        );
+        // A gap skip reaches the sinks as one `SilentGap` record and the
+        // scheduler counters; no event restates it.
+        let mut e = Engine::new(EngineConfig::default().with_trace(), 1);
         e.add_job(JobSpec::new(0, 0, 2), Box::new(AtLocal(0)));
         e.add_job(JobSpec::new(1, 10_000, 10_002), Box::new(AtLocal(0)));
         let r = e.run();
         assert!(r.sched_stats.gap_skips >= 1);
         assert!(r.sched_stats.gap_slots >= 9_000);
-        let probes = r.probes.unwrap();
-        let events = probes.events().unwrap();
-        assert!(events
+        let gaps: u64 = r
+            .trace()
+            .unwrap()
             .iter()
-            .any(|rec| matches!(rec.event, ProbeEvent::GapSkip { len } if len >= 9_000)));
+            .filter_map(|rec| match rec.outcome {
+                SlotOutcome::SilentGap { len } => Some(len),
+                _ => None,
+            })
+            .sum();
+        assert_eq!(gaps, r.sched_stats.gap_slots);
     }
 
     #[test]
-    fn legacy_trace_identical_with_extra_sinks_attached() {
-        // The record_trace path must be bit-identical whether or not other
-        // probe sinks ride along on the bus.
-        use crate::probe::{ProbeSpec, SinkSpec};
+    fn trace_identical_with_extra_sinks_attached() {
+        // The trace must be bit-identical whether or not other probe sinks
+        // ride along on the bus.
+        use crate::probe::ProbeOutput;
         let run = |probe: Option<ProbeSpec>| {
-            let config = EngineConfig {
-                probe,
-                ..EngineConfig::default().with_trace()
-            };
+            let mut config = EngineConfig::default().with_trace();
+            if let Some(spec) = probe {
+                config = config.with_probe(spec);
+            }
             let mut e = Engine::new(config, 77);
             e.add_job(JobSpec::new(0, 0, 8), Box::new(AtLocal(1)));
             e.add_job(JobSpec::new(1, 0, 8), Box::new(AtLocal(1)));
@@ -2310,12 +2264,15 @@ mod tests {
                 .with(SinkSpec::Ring { capacity: 2 })
                 .with(SinkSpec::Events),
         ));
-        assert_eq!(plain.trace, probed.trace);
+        assert_eq!(plain.trace(), probed.trace());
         assert_eq!(plain.counts, probed.counts);
-        // And the ring holds the trace's tail.
-        let (ring, _) = probed.probes.as_ref().unwrap().ring().unwrap();
-        let trace = plain.trace.as_ref().unwrap();
-        assert_eq!(ring, &trace[trace.len() - 2..]);
+        // And the bounded ring, appended after the trace, holds its tail.
+        let outputs = &probed.probes.as_ref().unwrap().outputs;
+        let ProbeOutput::Ring { records: ring, .. } = &outputs[1] else {
+            panic!("the bounded ring follows the trace: {outputs:?}");
+        };
+        let trace = plain.trace().unwrap();
+        assert_eq!(ring.as_slice(), &trace[trace.len() - 2..]);
     }
 
     #[test]
@@ -2333,7 +2290,7 @@ mod tests {
         e.add_job(JobSpec::new(0, 0, 2), Box::new(HalfProb));
         e.add_job(JobSpec::new(1, 0, 2), Box::new(HalfProb));
         let r = e.run();
-        let trace = r.trace.as_ref().unwrap();
+        let trace = r.trace().unwrap();
         assert!((trace[0].declared_contention - 1.0).abs() < 1e-12);
     }
 
@@ -2369,7 +2326,7 @@ mod tests {
             assert_eq!(again.outcomes(), fresh.outcomes(), "seed {seed}");
             assert_eq!(again.counts, fresh.counts, "seed {seed}");
             assert_eq!(again.accesses, fresh.accesses, "seed {seed}");
-            assert_eq!(again.trace, fresh.trace, "seed {seed}");
+            assert_eq!(again.trace(), fresh.trace(), "seed {seed}");
         }
         // Same seed after unrelated runs in between: still identical.
         assert_eq!(first.outcomes(), run_fresh(7).outcomes());
@@ -2572,10 +2529,12 @@ mod tests {
         }
         // The aggregate class contributes its m·p to declared contention:
         // near slot 0 all n members are live, so the first slot declares 1.
-        let trace = r.trace.as_ref().expect("trace recorded");
+        let trace = r.trace().expect("trace recorded");
         assert!((trace[0].declared_contention - 1.0).abs() < 1e-9);
-        assert!(r.contention_stats.measured_slots == r.slots_run);
-        let mean = r.contention_stats.mean().expect("measured");
+        let covered: u64 = trace.iter().map(|rec| rec.covered_slots()).sum();
+        assert_eq!(covered, r.slots_run);
+        let sum: f64 = trace.iter().map(|rec| rec.declared_contention).sum();
+        let mean = sum / covered as f64;
         assert!(mean > 0.0 && mean <= 1.0, "mean declared {mean}");
     }
 

@@ -57,9 +57,8 @@ fn channel_char(rec: &SlotRecord) -> char {
 /// the report carries no trace.
 pub fn render_gantt(report: &SimReport, opts: GanttOptions) -> Result<String, String> {
     let trace = report
-        .trace
-        .as_ref()
-        .ok_or("report has no trace; run with EngineConfig::record_trace")?;
+        .trace()
+        .ok_or("report has no trace; run with EngineConfig::with_trace")?;
     let from = opts.from;
     let to = opts.to.min(report.slots_run);
     if to <= from {
@@ -257,8 +256,7 @@ mod tests {
         e.add_job(JobSpec::new(1, 100, 104), Box::new(WakeAt(0)));
         let r = e.run();
         let gap_len = r
-            .trace
-            .as_ref()
+            .trace()
             .unwrap()
             .iter()
             .find_map(|rec| match rec.outcome {
@@ -312,7 +310,8 @@ mod tests {
                 },
             ),
         ];
-        use crate::metrics::{ContentionStats, JamStats, JobOutcome, SchedStats, SlotCounts};
+        use crate::metrics::{JamStats, JobOutcome, SchedStats, SlotCounts};
+        use crate::probe::{ProbeOutput, ProbeReport};
         let report = SimReport::new(
             vec![JobSpec::new(0, 0, 4)],
             vec![JobOutcome::Success { slot: 0 }],
@@ -323,9 +322,12 @@ mod tests {
             1,
             0,
             SchedStats::default(),
-            ContentionStats::default(),
-            Some(trace),
-            None,
+            Some(ProbeReport {
+                outputs: vec![ProbeOutput::Ring {
+                    records: trace,
+                    dropped: 0,
+                }],
+            }),
         );
         let g = render_gantt(
             &report,

@@ -110,9 +110,7 @@ pub mod prelude {
     };
     pub use crate::job::{JobId, JobSpec};
     pub use crate::message::{ControlMsg, Payload};
-    pub use crate::metrics::{
-        ContentionStats, JamStats, JobOutcome, SchedStats, SimReport, SlotCounts,
-    };
+    pub use crate::metrics::{JamStats, JobOutcome, SchedStats, SimReport, SlotCounts};
     pub use crate::probe::{
         EventBuf, ProbeEvent, ProbeOutput, ProbeRecord, ProbeReport, ProbeSink, ProbeSpec, SinkSpec,
     };

@@ -1,7 +1,12 @@
 //! Simulation outcomes and aggregate metrics.
+//!
+//! A [`SimReport`] holds the engine's running counters; everything observed
+//! slot by slot (the trace, declared contention, protocol events) lives in
+//! its probe outputs ([`crate::probe`]), and [`SimReport::trace`] reads the
+//! slot trace back from there.
 
 use crate::job::{JobId, JobSpec};
-use crate::probe::ProbeReport;
+use crate::probe::{ProbeOutput, ProbeReport};
 use crate::trace::SlotRecord;
 use serde::{Deserialize, Serialize};
 
@@ -128,33 +133,6 @@ impl SchedStats {
     }
 }
 
-/// Declared-contention accounting for one run: the paper's contention
-/// `C(t) = Σ_j p_j(t)` summed over every measured slot. Populated only
-/// while some sink records slot traces (the per-slot sum is diagnostic and
-/// skipped otherwise, exactly like `SlotRecord::declared_contention`);
-/// gap-skipped silent stretches contribute zero but still count as
-/// measured. Exact-path jobs contribute their `tx_probability`, cohorts
-/// and aggregate classes their aggregate `m·p`, duty groups their standing
-/// counts; parked event-driven jobs and kernel one-shots are not polled
-/// for diagnostics, so like `declared_contention` itself this is
-/// comparable across fidelities only statistically (and exactly under
-/// dense scheduling).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
-pub struct ContentionStats {
-    /// Sum of per-slot declared contention over all measured slots.
-    pub declared_sum: f64,
-    /// Slots covered while measurement was on (0 when tracing was off).
-    pub measured_slots: u64,
-}
-
-impl ContentionStats {
-    /// Mean declared contention per measured slot, or `None` when nothing
-    /// was measured (avoids manufacturing a NaN).
-    pub fn mean(&self) -> Option<f64> {
-        (self.measured_slots > 0).then(|| self.declared_sum / self.measured_slots as f64)
-    }
-}
-
 /// The result of running one simulation to completion.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct SimReport {
@@ -184,15 +162,8 @@ pub struct SimReport {
     /// deserialization so pre-existing artifacts still load.
     #[serde(default)]
     pub sched_stats: SchedStats,
-    /// Declared-contention totals (see [`ContentionStats`]); zero unless
-    /// the run recorded slot traces. Defaults on deserialization so
-    /// pre-existing artifacts still load.
-    #[serde(default)]
-    pub contention_stats: ContentionStats,
-    /// Full per-slot trace if `EngineConfig::record_trace` was set.
-    pub trace: Option<Vec<SlotRecord>>,
     /// Probe sink outputs if `EngineConfig::probe` was set (see
-    /// [`crate::probe`]).
+    /// [`crate::probe`]); the slot trace is one of them ([`Self::trace`]).
     pub probes: Option<ProbeReport>,
 }
 
@@ -208,8 +179,6 @@ impl SimReport {
         seed: u64,
         engine_nanos: u64,
         sched_stats: SchedStats,
-        contention_stats: ContentionStats,
-        trace: Option<Vec<SlotRecord>>,
         probes: Option<ProbeReport>,
     ) -> Self {
         Self {
@@ -222,10 +191,21 @@ impl SimReport {
             seed,
             engine_nanos,
             sched_stats,
-            contention_stats,
-            trace,
             probes,
         }
+    }
+
+    /// The full slot trace: the records of the first ring sink that
+    /// dropped nothing ([`crate::engine::EngineConfig::with_trace`]
+    /// attaches one), or `None` when the run kept no complete trace.
+    pub fn trace(&self) -> Option<&[SlotRecord]> {
+        self.probes.as_ref()?.outputs.iter().find_map(|o| match o {
+            ProbeOutput::Ring {
+                records,
+                dropped: 0,
+            } => Some(records.as_slice()),
+            _ => None,
+        })
     }
 
     /// Engine slot throughput in slots per wall-clock second (0.0 when the
@@ -370,11 +350,6 @@ mod tests {
                 parks: 2,
                 peak_parked: 2,
             },
-            ContentionStats {
-                declared_sum: 4.0,
-                measured_slots: 8,
-            },
-            None,
             None,
         )
     }
@@ -417,8 +392,6 @@ mod tests {
             0,
             0,
             SchedStats::default(),
-            ContentionStats::default(),
-            None,
             None,
         )
     }
@@ -456,11 +429,32 @@ mod tests {
     }
 
     #[test]
-    fn contention_stats_mean() {
-        let r = report();
-        assert_eq!(r.contention_stats.mean(), Some(0.5));
-        // An unmeasured run has no mean rather than a NaN.
-        assert_eq!(empty().contention_stats.mean(), None);
+    fn trace_is_the_first_ring_that_dropped_nothing() {
+        use crate::trace::SlotOutcome;
+        let rec = |slot| SlotRecord {
+            slot,
+            outcome: SlotOutcome::Silent,
+            live_jobs: 0,
+            declared_contention: 0.0,
+            payload: None,
+        };
+        let ring = |slots: Vec<u64>, dropped| ProbeOutput::Ring {
+            records: slots.into_iter().map(rec).collect(),
+            dropped,
+        };
+        let mut r = report();
+        assert_eq!(r.trace(), None);
+        r.probes = Some(ProbeReport {
+            outputs: vec![
+                ProbeOutput::Events(vec![]),
+                ring(vec![7], 7),
+                ring(vec![0, 1], 0),
+                ring(vec![5], 0),
+            ],
+        });
+        assert_eq!(r.trace().map(|t| t.len()), Some(2));
+        r.probes.as_mut().unwrap().outputs.truncate(2);
+        assert_eq!(r.trace(), None, "a ring that evicted is no full trace");
     }
 
     #[test]

@@ -1,10 +1,5 @@
-//! Streaming probe layer: typed protocol/engine events fanned out to
-//! pluggable sinks.
-//!
-//! The legacy `record_trace: bool` flag captures every slot in an unbounded
-//! `Vec<SlotRecord>` — memory-prohibitive for million-slot runs and blind to
-//! protocol internals (size estimates, phase changes, leader election). The
-//! probe layer generalizes it:
+//! Streaming probe layer: the one way to observe a run. Slot records and
+//! typed protocol/engine events fan out to pluggable sinks.
 //!
 //! * Protocols buffer typed [`ProbeEvent`]s in an [`EventBuf`] (armed only
 //!   when a sink wants events, so the disabled path allocates nothing) and
@@ -12,12 +7,14 @@
 //!   [`crate::engine::Protocol::drain_events`].
 //! * The engine fans slot records and events out to every configured
 //!   [`ProbeSink`] through a [`ProbeBus`].
-//! * Sinks trade fidelity for memory: [`VecSink`] is the legacy full trace,
-//!   [`RingBufferSink`] keeps the last `capacity` records, [`AggregatingSink`]
-//!   keeps only per-window-class histograms, [`ChromeTraceSink`] renders a
-//!   Perfetto/chrome://tracing JSON timeline, [`SamplingSink`] keeps a
-//!   deterministic 1-in-`period` slice, and [`EventLogSink`] keeps the raw
-//!   event stream for claim-checking experiments.
+//! * Sinks trade fidelity for memory: [`RingBufferSink`] keeps the last
+//!   `capacity` records (a ring that never evicts is the full slot trace,
+//!   which is what [`crate::engine::EngineConfig::with_trace`] attaches),
+//!   [`AggregatingSink`] keeps only per-window-class histograms,
+//!   [`ChromeTraceSink`] renders a Perfetto/chrome://tracing JSON timeline,
+//!   [`SamplingSink`] keeps a deterministic 1-in-`period` slice, and
+//!   [`EventLogSink`] keeps the raw event stream for claim-checking
+//!   experiments.
 //!
 //! Sinks are configured declaratively with a serde-able [`ProbeSpec`] inside
 //! [`crate::engine::EngineConfig`], and their outputs come back as
@@ -29,11 +26,14 @@
 //! `on_feedback` calls). Under the wake-hint contract
 //! ([`crate::engine::Protocol::next_wake`]) the attended slots are identical
 //! between event-driven and dense scheduling, so the per-job event streams
-//! are identical too. Only the interleaving of *different* jobs within one
-//! slot and the engine-emitted [`ProbeEvent::GapSkip`] /
-//! [`ProbeEvent::WakeQueueStats`] events are scheduling-dependent;
-//! [`ChromeTraceSink`] therefore excludes the engine events and canonicalizes
-//! order, and [`AggregatingSink`] is order-insensitive, which makes both
+//! are identical too. The engine drains each slot's events in job-id order
+//! and assembles [`ProbeEvent::JobRetired`] from outcomes after the loop,
+//! so every event stream is the same under both modes. Gap skips show up
+//! as [`SlotOutcome::SilentGap`] records and in
+//! [`crate::metrics::SchedStats`], never as events. Slot records do depend
+//! on scheduling (a skipped stretch is one record, and parked jobs declare
+//! no contention); [`ChromeTraceSink`] drops silent records and those
+//! fields, and [`AggregatingSink`] reads only events, which makes both
 //! byte-identical across scheduling modes (tested by the conformance
 //! matrix's `DENSE | OBSERVED` cells in `tests/scheduling_equivalence.rs`).
 
@@ -77,19 +77,6 @@ pub enum ProbeEvent {
         /// The class that took over.
         by_class: u32,
     },
-    /// Engine event: an all-parked/idle stretch of `len` slots was skipped
-    /// in O(1). Scheduling-dependent; excluded from cross-mode-deterministic
-    /// sinks.
-    GapSkip {
-        /// Number of silent slots covered by the skip.
-        len: u64,
-    },
-    /// Engine event: wake-queue occupancy at a gap skip. Scheduling-
-    /// dependent; excluded from cross-mode-deterministic sinks.
-    WakeQueueStats {
-        /// Jobs parked on a wake hint when the gap was skipped.
-        parked: u32,
-    },
     /// A job left the simulation (delivered, done, or window closed).
     /// Emitted by the engine for every job, in job-id order, at end of run.
     JobRetired {
@@ -115,30 +102,19 @@ impl ProbeEvent {
             ProbeEvent::LeaderElected => "LeaderElected",
             ProbeEvent::AnarchistConversion { .. } => "AnarchistConversion",
             ProbeEvent::Preemption { .. } => "Preemption",
-            ProbeEvent::GapSkip { .. } => "GapSkip",
-            ProbeEvent::WakeQueueStats { .. } => "WakeQueueStats",
             ProbeEvent::JobRetired { .. } => "JobRetired",
         }
-    }
-
-    /// True for engine-emitted events whose timing depends on the scheduling
-    /// mode (gap skips only happen when jobs park). Cross-mode-deterministic
-    /// sinks must ignore these.
-    pub fn is_scheduling_dependent(&self) -> bool {
-        matches!(
-            self,
-            ProbeEvent::GapSkip { .. } | ProbeEvent::WakeQueueStats { .. }
-        )
     }
 }
 
 /// One event, stamped with the slot it was drained in and the job (if any)
-/// that emitted it. Engine events carry `job: None`.
+/// it concerns. Events an aggregate class driver emits for the whole class
+/// carry `job: None`.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct ProbeRecord {
     /// Global slot index the event was observed in.
     pub slot: u64,
-    /// Emitting job id, or `None` for engine events.
+    /// The job the event concerns, or `None` for class-driver events.
     pub job: Option<u32>,
     /// The event itself.
     pub event: ProbeEvent,
@@ -173,9 +149,8 @@ pub trait ProbeSink {
 /// [`crate::metrics::SimReport::probes`].
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub enum ProbeOutput {
-    /// Full slot trace ([`VecSink`] — the legacy `record_trace` payload).
-    Trace(Vec<SlotRecord>),
-    /// Bounded tail of the slot trace ([`RingBufferSink`]).
+    /// Tail of the slot trace ([`RingBufferSink`]); the full trace when
+    /// `dropped` is 0.
     Ring {
         /// The last `capacity` slot records, oldest first.
         records: Vec<SlotRecord>,
@@ -467,38 +442,9 @@ impl<'de> Deserialize<'de> for EventBuf {
     }
 }
 
-/// The legacy full trace as a sink: retains every slot record. This is what
-/// `EngineConfig::record_trace` attaches, so the legacy path is bit-identical
-/// by construction.
-#[derive(Debug, Default)]
-pub struct VecSink {
-    records: Vec<SlotRecord>,
-}
-
-impl VecSink {
-    /// An empty trace sink.
-    pub fn new() -> Self {
-        Self::default()
-    }
-}
-
-impl ProbeSink for VecSink {
-    fn wants_slots(&self) -> bool {
-        true
-    }
-    fn wants_events(&self) -> bool {
-        false
-    }
-    fn on_slot(&mut self, rec: &SlotRecord) {
-        self.records.push(*rec);
-    }
-    fn finish(self: Box<Self>) -> ProbeOutput {
-        ProbeOutput::Trace(self.records)
-    }
-}
-
-/// Bounded-memory slot trace: keeps the last `capacity` records, counting
-/// evictions. The replacement for the unbounded trace Vec on long runs.
+/// Slot trace with a memory bound: keeps the last `capacity` records,
+/// counting evictions. With `capacity = u64::MAX` it never evicts and holds
+/// the full trace.
 #[derive(Debug)]
 pub struct RingBufferSink {
     capacity: usize,
@@ -598,11 +544,11 @@ impl ProbeSink for AggregatingSink {
 /// one track (tid) per job carrying its protocol-phase spans and instant
 /// events, plus a channel track (tid 0) with non-silent slot outcomes.
 ///
-/// Only scheduling-independent inputs are rendered (silent/gap records and
-/// [`ProbeEvent::GapSkip`]/[`ProbeEvent::WakeQueueStats`] are dropped, and
-/// mode-dependent `declared_contention`/`live_jobs` fields are not emitted),
-/// and buffered events are canonically ordered in [`ProbeSink::finish`], so
-/// the output is byte-identical across scheduling modes.
+/// Only scheduling-independent inputs are rendered (silent/gap records are
+/// dropped, and mode-dependent `declared_contention`/`live_jobs` fields are
+/// not emitted), and buffered events are canonically ordered in
+/// [`ProbeSink::finish`], so the output is byte-identical across scheduling
+/// modes.
 #[derive(Debug, Default)]
 pub struct ChromeTraceSink {
     channel: Vec<SlotRecord>,
@@ -731,7 +677,6 @@ impl ChromeTraceSink {
                         r#"{{"name":"JobRetired","ph":"i","ts":{ts},"pid":0,"tid":{tid},"s":"t","args":{{"success":{success},"latency":{latency}}}}}"#
                     ));
                 }
-                ProbeEvent::GapSkip { .. } | ProbeEvent::WakeQueueStats { .. } => {}
             }
         }
         // Close any phase still open (job never retired: horizon hit).
@@ -761,9 +706,7 @@ impl ProbeSink for ChromeTraceSink {
     }
     fn on_event(&mut self, rec: &ProbeRecord) {
         self.last_slot = self.last_slot.max(rec.slot);
-        if !rec.event.is_scheduling_dependent() {
-            self.events.push(rec.clone());
-        }
+        self.events.push(rec.clone());
     }
     fn finish(self: Box<Self>) -> ProbeOutput {
         ProbeOutput::ChromeTrace(self.render())
@@ -875,8 +818,8 @@ mod tests {
     }
 
     #[test]
-    fn vec_sink_is_the_identity() {
-        let mut sink = Box::new(VecSink::new());
+    fn unbounded_ring_is_the_identity() {
+        let mut sink = SinkSpec::Ring { capacity: u64::MAX }.build();
         let recs: Vec<SlotRecord> = (0..4)
             .map(|s| {
                 slot_rec(
@@ -891,10 +834,10 @@ mod tests {
         for r in &recs {
             sink.on_slot(r);
         }
-        let ProbeOutput::Trace(out) = ProbeSink::finish(sink) else {
-            panic!("vec sink must produce Trace output");
+        let ProbeOutput::Ring { records, dropped } = sink.finish() else {
+            panic!("ring sink must produce Ring output");
         };
-        assert_eq!(out, recs);
+        assert_eq!((records, dropped), (recs, 0));
     }
 
     #[test]

@@ -401,7 +401,7 @@ pub struct BranchedRun {
 /// adversary, and finishes (modulo wall-clock `engine_nanos`); the
 /// conformance matrix's `BRANCH` column (`tests/conformance.rs`) enforces
 /// this. The engine must satisfy the
-/// [`Engine::snapshot`] requirements: no trace, no probes, and live
+/// [`Engine::snapshot`] requirements: no probe sinks (a trace is one), and live
 /// protocols that implement state capture.
 ///
 /// Branches run as the trials of one [`run_trials`] batch (work-stealing,

@@ -1,11 +1,15 @@
-//! Optional per-slot execution traces.
+//! Per-slot execution records.
 //!
-//! Traces are off by default (the hot path only bumps counters); enable them
-//! via [`crate::engine::EngineConfig::record_trace`] to regenerate Figure 1
-//! of the paper or to debug a protocol slot by slot.
+//! Slot records are off by default (the hot path only bumps counters). A
+//! probe sink that wants slots receives one [`SlotRecord`] per executed
+//! slot or skipped gap; [`crate::engine::EngineConfig::with_trace`]
+//! attaches a ring that never evicts, and
+//! [`crate::metrics::SimReport::trace`] reads it back, to regenerate
+//! Figure 1 of the paper or to debug a protocol slot by slot.
 
 use crate::job::JobId;
 use crate::message::Payload;
+use crate::metrics::SlotCounts;
 use serde::{Deserialize, Serialize};
 
 /// How one slot resolved, with enough detail to reconstruct schedules.
@@ -87,26 +91,10 @@ impl SlotRecord {
     }
 }
 
-/// Summary statistics computable from a trace; used by tests and the
-/// experiment harness to cross-check the engine's running counters.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct TraceTally {
-    /// Silent slots.
-    pub silent: u64,
-    /// Successful slots.
-    pub success: u64,
-    /// Collision slots.
-    pub collision: u64,
-    /// Jammed slots.
-    pub jammed: u64,
-    /// Successful slots that carried a data message (subset of `success`,
-    /// mirroring [`crate::metrics::SlotCounts::data_success`]).
-    pub data_success: u64,
-}
-
-/// Tally a trace's slot outcomes.
-pub fn tally(trace: &[SlotRecord]) -> TraceTally {
-    let mut t = TraceTally::default();
+/// Tally a trace's slot outcomes. A complete trace tallies to its run's
+/// [`crate::metrics::SimReport::counts`].
+pub fn tally(trace: &[SlotRecord]) -> SlotCounts {
+    let mut t = SlotCounts::default();
     for rec in trace {
         match rec.outcome {
             SlotOutcome::Silent => t.silent += 1,
@@ -157,7 +145,7 @@ mod tests {
         let t = tally(&trace);
         assert_eq!(
             t,
-            TraceTally {
+            SlotCounts {
                 silent: 1002,
                 success: 1,
                 collision: 1,

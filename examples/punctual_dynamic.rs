@@ -59,7 +59,7 @@ fn main() {
     }
 
     // Peek at the round machinery: the trace shows the start-pair cadence.
-    let trace = punctual.trace.as_ref().unwrap();
+    let trace = punctual.trace().unwrap();
     let busy_pairs = trace
         .windows(2)
         .filter(|w| !w[0].is_silent() && !w[1].is_silent() && w[1].slot == w[0].slot + 1)

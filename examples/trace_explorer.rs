@@ -121,8 +121,6 @@ fn main() {
                     rec.slot
                 );
             }
-            // Engine scheduling events — noisy here; SchedStats summarizes.
-            ProbeEvent::GapSkip { .. } | ProbeEvent::WakeQueueStats { .. } => {}
         }
     }
 

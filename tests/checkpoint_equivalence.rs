@@ -16,6 +16,7 @@ use contention_deadlines::sim::checkpoint::{Checkpoint, CheckpointError, KernelS
 use contention_deadlines::sim::engine::{Engine, EngineConfig};
 use contention_deadlines::sim::jamming::{JamPolicy, Jammer};
 use contention_deadlines::sim::job::JobSpec;
+use contention_deadlines::sim::metrics::SimReport;
 use dcr_bench::experiments::util::PersistentP;
 use proptest::prelude::*;
 use serde_json::{Number, Value};
@@ -48,8 +49,8 @@ fn aggregate_class_checkpoints_across_jammer_grid() {
 /// silently-wrong checkpoints.
 #[test]
 fn unsupported_and_mismatched_cases_are_typed_errors() {
-    // Trace and probe recording are observer state the checkpoint
-    // excludes: the matrix asserts the refusal.
+    // Probe sinks, the trace among them, are observer state the
+    // checkpoint excludes: the matrix asserts the refusal.
     check(&grid("pick5", "clean", 0..1), &[OBSERVED | RESTORE]);
 
     // ALIGNED carries live protocol state without capture hooks; the
@@ -80,9 +81,37 @@ fn unsupported_and_mismatched_cases_are_typed_errors() {
         matches!(build(2).restore(&ck), Err(CheckpointError::Mismatch(_))),
         "restore must reject a mismatched construction fingerprint"
     );
-    build(1)
-        .restore(&ck)
+
+    // An image written while checkpoints still carried the raw bits of
+    // the declared-contention sum has that key, always 0, after
+    // `gap_slots` (the sum was kept only for observed runs, which never
+    // snapshot). It is still version 4: it loads, restores into the
+    // matching construction and finishes byte-identically to an
+    // uninterrupted run.
+    let mut doc = serde_json::to_value(&ck).expect("checkpoint to json");
+    let Value::Object(fields) = &mut doc else {
+        panic!("a checkpoint serializes as an object");
+    };
+    let at = fields
+        .iter()
+        .position(|(k, _)| k == "gap_slots")
+        .expect("gap_slots");
+    fields.insert(
+        at + 1,
+        ("contention_sum_bits".into(), Value::Number(Number::U(0))),
+    );
+    let json = serde_json::to_string(&doc).expect("serialize");
+    let old: Checkpoint = serde_json::from_str(&json).expect("older v4 image parses");
+    assert_eq!(old, ck);
+    let mut resumed = build(1);
+    resumed
+        .restore(&old)
         .expect("matching construction restores");
+    let canon = |mut r: SimReport| {
+        r.engine_nanos = 0;
+        serde_json::to_string(&r).expect("report serializes")
+    };
+    assert_eq!(canon(resumed.finish()), canon(build(1).run()));
 }
 
 proptest! {

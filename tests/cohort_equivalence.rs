@@ -114,24 +114,29 @@ fn aggregate_classes_actually_engage() {
     );
 }
 
-/// `contention_stats` must agree between the exact and aggregate paths:
-/// the driver declares `m·p` on sampled steps and `m` on deterministic
-/// ones, mirroring the per-job `tx_probability` sum. Dense and traced on
-/// both sides (contention is tallied only while slots are recorded), on
-/// a clean channel so both paths see the same feedback histories.
+/// Mean declared contention per slot must agree between the exact and
+/// aggregate paths: the driver declares `m·p` on sampled steps and `m` on
+/// deterministic ones, mirroring the per-job `tx_probability` sum. Dense
+/// and traced on both sides (declared contention lives in the slot
+/// records), on a clean channel so both paths see the same feedback
+/// histories.
 #[test]
 fn aggregate_contention_accounting_matches_exact() {
     let pop = population("cohort-aligned");
     let [exact, agg] = [EngineConfig::aligned(), pop.config.clone()].map(|config| {
         let mut e = Engine::new(config.dense().with_trace(), 11);
         e.add_jobs(&pop.jobs, |s| (pop.factory)(s));
-        e.run().contention_stats
+        let r = e.run();
+        let trace = r.trace().expect("traced run");
+        let sum: f64 = trace.iter().map(|rec| rec.declared_contention).sum();
+        let covered: u64 = trace.iter().map(|rec| rec.covered_slots()).sum();
+        (sum, covered)
     });
     assert!(
-        exact.measured_slots > 0 && agg.measured_slots > 0,
+        exact.1 > 0 && agg.1 > 0,
         "contention must be measured on both paths"
     );
-    let (me, ma) = (exact.mean().unwrap(), agg.mean().unwrap());
+    let (me, ma) = (exact.0 / exact.1 as f64, agg.0 / agg.1 as f64);
     // Same declared-probability law, different coins: means agree within
     // 20% relative (both paths measure hundreds of slots).
     assert!(

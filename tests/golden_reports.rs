@@ -212,47 +212,52 @@ fn grid() -> Vec<(String, String)> {
 /// cohorts moved onto counter-based positions (DESIGN.md §3f); the
 /// others did not move. The last two pins came with the BTRS branch of
 /// `sample_binomial`: `cohort-aloha-shared` reads the same under the
-/// gap-only sampler before it, `cohort-aligned-64` does not.
+/// gap-only sampler before it, `cohort-aligned-64` does not. Every pin
+/// moved once more, for the report layout alone, when the trace became a
+/// probe sink: the trace is now the first probe output (a ring that
+/// dropped nothing), `contention_stats` is gone, and event logs no longer
+/// carry gap-skip events. Rewriting the older reports into that layout
+/// reproduces all 39 pins.
 const PINS: &str = "\
-exact-mixed/event/clean e95d15f9bd3a36297110e88443da4039a790995987f81e294bf0adcff701dff1
-exact-mixed/event/ge a6531808ba355912e0f51abe49d205e1f91b4aa12beac32a697f3d8c6f4ed8fe
-exact-mixed/event/reactive 8eee44a4a9cbca89afce3328faccfd4c4dc75114a25e53a0a4d6fc33f8fb7b3c
-exact-mixed/dense/clean 9732852bf0a3a172bf1a126e6a954fc059c0ea95fdbc3f7bbccf0b2b0ab3c2b4
-exact-mixed/dense/ge 8d56f295da8c32266b807a472beb14fd2b87a72c8c2ebd4aabbc4dd1b4bb916e
-exact-mixed/dense/reactive cf277815cf4f50e249a640187d74e2c8d4ac8266f2c69436f1fcdecb7fb9cf37
-cohort-aloha/event/clean ed9a979c5d41382cec56c32bbfd824468345018391e9d2767afe0cb829971ec8
-cohort-aloha/event/ge a908662271104ea8304b465769182f09f8c0471952ecd4124b0177722fa3e466
-cohort-aloha/event/reactive 689b85f51df3f43a5c30155d8574e5aab7abb4b31d242e8fca9143b8995cc242
-cohort-aloha/dense/clean e55926c357023c164c50a5f5f328591e7e60cc9a7167e89de3c2fe5cda5d826c
-cohort-aloha/dense/ge 775ac5174e7241052c8bd66ef9a3cd97533e14e65b0371becc9ea01bf1259274
-cohort-aloha/dense/reactive 07aa95d9386c9c8e03d0cd370112252fe58dc8049e4dcfc3f0dff9dfdf4413d7
-cohort-uniform/event/clean eca817023f6eca9375a57653ed5f183d39f22f5da0f46cb3d518c989d280ee1b
-cohort-uniform/event/ge 414dfb970b69a29d42c7923a67569dc51ba686e6ed71c28800a795455b2165a0
-cohort-uniform/event/reactive 964584e608d51b3d7aace12b5bd05248bd35ed809d403d33135a9cd1cd4c15ff
-cohort-uniform/dense/clean e2308ecd6e150bde5b0afe19859fe66d07bdc73bca947b9bb6b5708d6d36cb96
-cohort-uniform/dense/ge 836aa99efba717b3378fb3563c39721638f0f2e5ddcc737486653cf35c60ccdb
-cohort-uniform/dense/reactive e25c6be6caad69f5cf7514dc0ac3d893d5be9c9d3f3c74898baa4151703242ee
-cohort-aligned/event/clean 7e05b55fd58c1fec4e8d2675c33e76abc5018950d434c54e7da9b1e2f8a59742
-cohort-aligned/event/ge 391930af7063e33804a0453f8c05ff408e3f6f875ee8390f423b5755c0558ae1
-cohort-aligned/event/reactive ed2d646c315a362d1e92840e4f2338c985c407a04fbc3df57aed3cf06cd5ff72
-cohort-aligned/dense/clean 8da4f872a27de7fbf89abfccdeabb12d4be5e897d54fabeda6a6582f9aed4fa1
-cohort-aligned/dense/ge 41b786d2e4608bf603aaf35cca33ab9a1b045c0759b78f63dd569124aaa0b2ee
-cohort-aligned/dense/reactive 7c72f5e305b8bda0bea2fb41cf0191fd10bf83b5ef39b8e73e1a2d53b6fc7766
-vectorized-mixed/event/clean 14acb10390803bd7bedf5c0eeaaf883076dd78df9b12503eeccda1a37eee9dbd
-vectorized-mixed/event/ge 7bd50e22d5af250f57b60509c907fe1b11b52109db9aaecd4538a0d50b82880f
-vectorized-mixed/event/reactive bb7ee3d3e8147873a5085183892015a9033bfbf1f0746931fa86090b4cd079ab
-vectorized-mixed/dense/clean e1d7319d0573f8d1f00c411e1b69dd0ba04ee66b3a1f32340a484cf39a2ab4a6
-vectorized-mixed/dense/ge ae7b69214acbf405abf1991f34f5111b57f4eb96a0c5aca09aa8e19277f75e4a
-vectorized-mixed/dense/reactive b48887660b9a5f8f57f63618cfcf9b77f496b89f6bbd76a8ebca27cb3dfe93c0
-exact-aligned/event/clean d53d7c84197ba0f960205602c1f3bc6c9767c41cdc90600752bce8628c5137d6
-exact-aligned/event/ge 68b37ea4050738667409a2bdaf24715af19405ac8fd78dc1906bbf85c32687b2
-exact-aligned/event/reactive f9713b1d574b2cd6f88b5880e2d61753e1bc7b98781eec8a5b504dd17869d96b
-exact-aligned/dense/clean 5b72e97db033df778864da54cdfcfc30fe4a76ae4a8ce3eee3f54bff68b120b8
-exact-aligned/dense/ge eeb351931949bc3ac6b63d8fee8445b3f4fe60725578188d8b46e53aded2d8a7
-exact-aligned/dense/reactive 2b66e34d676acaba131a57ea4dc6ecadc7f254d53eac0c1522a54a6495da1442
-checkpoint 411b964a0053807dd0eb6d4da450cf799a7116a46d64c017aa832a2373d834fd
-cohort-aligned-64/event/clean 607611f4c9fc7e25fec9fe508082602e62dc588f99f5f92edf0b998d92b28f4e
-cohort-aloha-shared/event/clean 764e0eccd528dd1761e9e4b6b05a1959a275182c501eb1b8daca48695c859543
+exact-mixed/event/clean 2ea954f3f82c0feeddc5ddb11a357cdb0fab6ce87b231ddef97d1cbef00292ce
+exact-mixed/event/ge bff9ec0e7868f7eacde9bda058b27d6ba2147e474a419ee61acb4adbbaf27bca
+exact-mixed/event/reactive 8a0a1e16eaf4928ee03ec1fb815cb79cfc41fb7442eadff95165b0f14ac6046c
+exact-mixed/dense/clean 8c7c217cc30fef9585ab6896c6aa047eb8cfd4d4e9e4394dab2406e7f73733b6
+exact-mixed/dense/ge 08844f861fc23b4d8b13974a8651fcd21c8c25574427e7a1b117bac99845c0a9
+exact-mixed/dense/reactive ca1ee35bfa8e498453931ccd2e8f4ba5fea3aeacba7af1fef4ec3191850ef65a
+cohort-aloha/event/clean 929951137992cba031ae67d569dbcda806bb8590b67093f26f18fea60e6dac3c
+cohort-aloha/event/ge c04d812d6dff1639f6875da8f65bbd1930222d597cef9ace15a863a2b370ea4c
+cohort-aloha/event/reactive 14fca4a0ff1bf23ee297726b43c730435c9af0d5fcef3ce65ca1271d386e560b
+cohort-aloha/dense/clean 1e49f6247a0cd1a8dca591d1230a6bfd5f498f0e6f3009fd044d5a6138a65794
+cohort-aloha/dense/ge 5d8e37e014cf5f1f4ffaab07144e830411bd0be45408489cda8ad18714b12a29
+cohort-aloha/dense/reactive 21ea3cab9f6ecdf4820a7113df8549a2134928381a46c231de9c8b56421107cd
+cohort-uniform/event/clean 2171667b21635e4d9f3bc23c98a1ab76ff4b756d42ef224a7ece36ccecb486f0
+cohort-uniform/event/ge ef9da8da3a2fd1c6667ab004220dd22ae050bef282ee4a0866c7ca5409494bc9
+cohort-uniform/event/reactive b25f3d4059857f1f0bb3fc954e6c787877c124a37649afea3f5f49e475265425
+cohort-uniform/dense/clean 840432d4243888a16083b25447bb0dc25a9c14d04ecfe89e66ac84a7fe3c47ce
+cohort-uniform/dense/ge 038959ddac3bf33002f43574702ab9c88fce45447d51dcab1b1f01f6c9088fc7
+cohort-uniform/dense/reactive f23ad794f698abc8533c875934bb24f9564b839bbff16e4205d655f9d3c05d7e
+cohort-aligned/event/clean 833c211b710a045ad94123404faa1c600c8b50baf9af4c78cd815269ea1f1f6f
+cohort-aligned/event/ge 79c3228a8ba624317825dd8e7564680d48b7064a1a9a4e3ef034730c442069b0
+cohort-aligned/event/reactive 5eee11ea22ab61d5c26f76da0ff3351ef355fc0d11e2fed77812104f3128ca3a
+cohort-aligned/dense/clean be2c668118952f0d0a829237f3e8e50f376ba033a67594e823daa4786be845b0
+cohort-aligned/dense/ge de0c3def845efc1c1d3377784eb327d234386ba5e821b9b5f45645c11830defc
+cohort-aligned/dense/reactive 464b072a0bed36434b8baeb82f1b0a48bf722ba94d69b803b64f29cd39c52807
+vectorized-mixed/event/clean 52a7b03a4aca1e5b2d59180c6b429cfa2d5ad09cbb651e87b1c90800f7a8e145
+vectorized-mixed/event/ge 030737aec9614a10e12db31fec6a016817e6257b8ffcbb710ed38787afad12a0
+vectorized-mixed/event/reactive 97fb6587146788f8759b60157fde4246285f78fb12fb04a64ffdb2976828e475
+vectorized-mixed/dense/clean 1d7f894ec2ee4ca81fbbc4f4f49f0104f4c962a0dd2d6c5c460f729d548265b5
+vectorized-mixed/dense/ge 4c906e74c55753f09fc69a3dd229fd9e67477e1b3fea1d5f2ef7f288844c9f36
+vectorized-mixed/dense/reactive 95ba6b51710e3d0f245567228ad7b4d93fd77c850b970f2397411cd5f6db8175
+exact-aligned/event/clean 42fe8c5b77b5cdfddac079c8320bd9742b3e2abf6151985196aff588d4b8a78d
+exact-aligned/event/ge 7f4d9b7cabb74f8eb27f1a0d8a7ed30fa55021c4994d1d7172196f408acc13b3
+exact-aligned/event/reactive caca12cf6da93a04618374e254c4ff1df8278121f7eb91d9907e098ff7453d5f
+exact-aligned/dense/clean b5463a12eb3a19983eced0b688e77434aed1beb1aaea2aa5f5467e59c585e020
+exact-aligned/dense/ge 3979425b4a35429a1c7bd306dcdbe5baa0b963fcd7ec1cccecf25324932f856b
+exact-aligned/dense/reactive f7174f2917dfc0300d99c2049612cd6ecca1c03aa3f65aad8fe728a896cfec48
+checkpoint 51cbaadfb186c03b1679542a1da6a5c9bfc1314fb3e4818d63a8d7b3e9964c11
+cohort-aligned-64/event/clean cc51f8a600fe2114090bfeb3cef9f418ad430ca85e74b6d1ec193d60ba95a9d7
+cohort-aloha-shared/event/clean 455f8a5570f31dc7b8a79627834365539b123dc6e728856064fa8681ba3d0e24
 ";
 
 #[test]

@@ -187,9 +187,8 @@ fn jamming_composes_with_protocols_and_metrics() {
     );
     let report = engine.run();
     // Trace tallies must reconcile with the running counters.
-    let tally = contention_deadlines::sim::trace::tally(report.trace.as_ref().unwrap());
-    assert_eq!(tally.jammed, report.counts.jammed);
-    assert_eq!(tally.success, report.counts.success);
+    let tally = contention_deadlines::sim::trace::tally(report.trace().unwrap());
+    assert_eq!(tally, report.counts);
     // Adversary counters surface in the report and reconcile too: every
     // successful jam is an attempt that landed.
     assert_eq!(report.jam_stats.succeeded, report.counts.jammed);

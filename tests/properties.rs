@@ -105,10 +105,8 @@ proptest! {
             }
         }
         // Trace agrees with counters.
-        let tally = contention_deadlines::sim::trace::tally(report.trace.as_ref().unwrap());
-        prop_assert_eq!(tally.success, report.counts.success);
-        prop_assert_eq!(tally.silent, report.counts.silent);
-        prop_assert_eq!(tally.collision, report.counts.collision);
+        let tally = contention_deadlines::sim::trace::tally(report.trace().unwrap());
+        prop_assert_eq!(tally, report.counts);
     }
 
     /// The engine is a pure function of (instance, seed).
@@ -187,10 +185,8 @@ fn regression_engine_conservation_unit_window() {
                 );
             }
         }
-        let tally = contention_deadlines::sim::trace::tally(report.trace.as_ref().unwrap());
-        assert_eq!(tally.success, report.counts.success);
-        assert_eq!(tally.silent, report.counts.silent);
-        assert_eq!(tally.collision, report.counts.collision);
+        let tally = contention_deadlines::sim::trace::tally(report.trace().unwrap());
+        assert_eq!(tally, report.counts);
     }
 }
 

@@ -116,7 +116,7 @@ fn idle_striking_adversary_disables_gap_skip() {
         let live_gap = |rec: &SlotRecord| {
             matches!(rec.outcome, SlotOutcome::SilentGap { .. }) && rec.live_jobs > 0
         };
-        (r.trace.unwrap().iter().any(live_gap), r.counts.jammed)
+        (r.trace().unwrap().iter().any(live_gap), r.counts.jammed)
     };
     let (skipped, jammed) = gap_skipped(&ge);
     assert!(
@@ -136,8 +136,8 @@ fn idle_striking_adversary_disables_gap_skip() {
 }
 
 /// Probe sinks compose with scheduling: with a trace and event, Chrome and
-/// aggregate sinks attached, every protocol-emitted event lands on the
-/// same slot in both modes, and attaching them perturbs nothing.
+/// aggregate sinks attached, every event lands on the same slot in both
+/// modes, the trace tallies alike, and attaching them perturbs nothing.
 #[test]
 fn probe_sinks_byte_identical_across_modes() {
     let cases = grid("punctual aligned", "clean", 0..3);

@@ -54,10 +54,25 @@ fn sim_report_roundtrips_with_trace() {
     assert_eq!(back.counts, report.counts);
     assert_eq!(back.accesses, report.accesses);
     assert_eq!(back.slots_run, report.slots_run);
-    assert_eq!(
-        back.trace.as_ref().map(|t| t.len()),
-        report.trace.as_ref().map(|t| t.len())
+    let trace = report.trace().expect("traced run");
+    assert_eq!(back.trace(), Some(trace));
+
+    // The layout before the trace became a probe sink kept it in a `trace`
+    // field after `contention_stats`, with `probes: null`. Such a report
+    // still loads; the keys the report no longer has are ignored.
+    let (head, _) = json.split_once(r#","probes":"#).expect("probes key");
+    let declared: f64 = trace.iter().map(|rec| rec.declared_contention).sum();
+    let records = serde_json::to_string(trace).expect("serialize trace");
+    let json = format!(
+        r#"{head},"contention_stats":{{"declared_sum":{declared},"measured_slots":{}}},"trace":{records},"probes":null}}"#,
+        report.slots_run
     );
+    let back: contention_deadlines::sim::metrics::SimReport =
+        serde_json::from_str(&json).expect("deserialize legacy report");
+    assert_eq!(back.outcomes(), report.outcomes());
+    assert_eq!(back.counts, report.counts);
+    assert_eq!(back.sched_stats, report.sched_stats);
+    assert!(back.probes.is_none() && back.trace().is_none());
 }
 
 #[test]
@@ -136,18 +151,18 @@ fn sim_report_with_jam_stats_roundtrips() {
 
 #[test]
 fn sim_report_without_jam_stats_field_still_loads() {
-    // Artifacts archived before the adversary, scheduler and contention
-    // counters existed lack those fields; deserialization must default
-    // them, not fail.
+    // Artifacts archived before the adversary and scheduler counters
+    // existed lack those fields; deserialization must default them, not
+    // fail.
     use contention_deadlines::protocols::Uniform;
-    use contention_deadlines::sim::metrics::{ContentionStats, SchedStats};
+    use contention_deadlines::sim::metrics::SchedStats;
     let inst = batch(2, 32);
     let mut e = Engine::new(EngineConfig::default(), 13);
     e.add_jobs(&inst.jobs, |_| Box::new(Uniform::single()));
     let report = e.run();
     assert_ne!(report.sched_stats, SchedStats::default());
     let mut json: serde_json::Value = serde_json::to_value(&report).expect("serialize");
-    let legacy = ["jam_stats", "sched_stats", "contention_stats"];
+    let legacy = ["jam_stats", "sched_stats"];
     match &mut json {
         serde_json::Value::Object(pairs) => {
             pairs.retain(|(key, _)| !legacy.contains(&key.as_str()))
@@ -158,7 +173,6 @@ fn sim_report_without_jam_stats_field_still_loads() {
         serde_json::from_value(&json).expect("deserialize legacy report");
     assert_eq!(back.jam_stats, JamStats::default());
     assert_eq!(back.sched_stats, SchedStats::default());
-    assert_eq!(back.contention_stats, ContentionStats::default());
     assert_eq!(back.counts, report.counts);
 }
 
@@ -300,4 +314,36 @@ fn windowed_schedule_roundtrips() {
     ] {
         assert_eq!(roundtrip(&s), s);
     }
+}
+
+#[test]
+fn derived_fields_refuse_missing_keys() {
+    // A missing key is an error naming the field unless the field is an
+    // `Option` or `#[serde(default)]`; an explicit `null` keeps its meaning
+    // (NaN for an `f64`) and unknown keys are ignored.
+    #[derive(Debug, serde::Serialize, serde::Deserialize)]
+    struct Rate {
+        p: f64,
+        cap: Option<u64>,
+        #[serde(default)]
+        tries: u32,
+    }
+    let parse = |json: &str| serde_json::from_str::<Rate>(json);
+    let err = parse(r#"{"cap": 3, "tries": 2}"#).unwrap_err();
+    assert!(
+        err.to_string().contains("missing field `p` in Rate"),
+        "{err}"
+    );
+    let r = parse(r#"{"p": 0.25, "extra": true}"#).expect("optional and default keys may go");
+    assert_eq!((r.p, r.cap, r.tries), (0.25, None, 0));
+    assert!(parse(r#"{"p": null}"#).expect("explicit null").p.is_nan());
+
+    // The same holds inside struct variants.
+    let bursty = r#"{"Bursty": {"p_enter": 0.1}}"#;
+    let err = serde_json::from_str::<AdversarySpec>(bursty).unwrap_err();
+    assert!(
+        err.to_string()
+            .contains("missing field `p_exit` in AdversarySpec::Bursty"),
+        "{err}"
+    );
 }

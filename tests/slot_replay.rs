@@ -170,7 +170,7 @@ fn jammer_coin_replays_from_its_slot_position() {
             let report = engine.run();
             let jam_key = SeedSeq::new(seed).derive(StreamLabel::Jammer, 0);
             let (mut lone, mut jammed) = (0u32, 0u32);
-            for rec in report.trace.as_ref().expect("traced run") {
+            for rec in report.trace().expect("traced run") {
                 let was_jammed = match rec.outcome {
                     SlotOutcome::Success { .. } => false,
                     SlotOutcome::Jammed { n_tx: 1 } => true,

@@ -10,9 +10,9 @@
 //!
 //! | transform    | runs the case                                        | masked |
 //! |--------------|------------------------------------------------------|--------|
-//! | [`DENSE`]    | polling every job every slot (no parking, no gap skip) | `sched_stats`, `contention_stats`, raw `trace` (its tally is compared), scheduling-dependent probe events |
+//! | [`DENSE`]    | polling every job every slot (no parking, no gap skip) | `sched_stats`, the records of `Ring` outputs (their tally is compared) |
 //! | [`VECTORIZED`] | with the slot kernel owning eligible jobs          | as `DENSE` |
-//! | [`OBSERVED`] | traced, with event, Chrome and aggregate probe sinks | `probes`, `trace`, `contention_stats` |
+//! | [`OBSERVED`] | traced, with event, Chrome and aggregate probe sinks | `probes` |
 //! | [`RESTORE`]  | paused, snapshotted, JSON round-tripped and restored into a fresh engine; the paused engine finishes too | nothing |
 //! | [`BRANCH`]   | through `run_branched`, against an inline adversary swap at the pause | nothing |
 //! | [`REUSE`]    | on a pooled engine `reset` after two other trials, against `Engine::fresh` | nothing |
@@ -22,8 +22,9 @@
 //! `A | B` is checked against `A` and against `B`; [`check_case`] notes
 //! the two compositions that widen a mask. A snapshot the engine must refuse
 //! (observed runs, live protocols without state capture) is asserted to be
-//! a typed [`CheckpointError::Unsupported`], never skipped. Each cell (one
-//! variant over one `check` call's cases) shows the witness its
+//! a typed [`CheckpointError::Unsupported`], never skipped. Every observed
+//! run's trace must tally to its `counts` and cover its `slots_run`. Each
+//! cell (one variant over one `check` call's cases) shows the witness its
 //! transforms need (`witnessed`), so no cell passes vacuously.
 //!
 //! Cohort fidelity is statistical, so cohort-versus-exact stays a
@@ -55,12 +56,12 @@ use contention_deadlines::sim::engine::{
 use contention_deadlines::sim::jamming::{AdversarySpec, JamPolicy, Jammer};
 use contention_deadlines::sim::job::{JobId, JobSpec};
 use contention_deadlines::sim::message::{ControlMsg, Payload};
-use contention_deadlines::sim::metrics::{ContentionStats, SchedStats, SimReport};
+use contention_deadlines::sim::metrics::{SchedStats, SimReport};
 use contention_deadlines::sim::probe::{ProbeEvent, ProbeOutput, ProbeSpec, SinkSpec};
 use contention_deadlines::sim::rng::sample_binomial;
 use contention_deadlines::sim::runner::{run_branched, run_trials, BranchSpec};
 use contention_deadlines::sim::slot::Feedback;
-use contention_deadlines::sim::trace::tally;
+use contention_deadlines::sim::trace::{tally, SlotRecord};
 use contention_deadlines::stats::Proportion;
 use contention_deadlines::workloads::generators::{batch, poisson};
 use proptest::prelude::*;
@@ -943,7 +944,18 @@ fn run(case: &Case, v: u8, inline_swap: bool) -> Run {
         seen.parked |= r.sched_stats.parks + r.sched_stats.gap_skips > 0;
         for rec in r.probes.iter().flat_map(|p| p.events().unwrap_or_default()) {
             seen.event = true;
-            seen.driver_record |= rec.job.is_none() && !rec.event.is_scheduling_dependent();
+            seen.driver_record |= rec.job.is_none();
+        }
+        if v & OBSERVED != 0 {
+            let trace = r.trace().expect("an observed run keeps its trace");
+            assert_eq!(tally(trace), r.counts, "{case:?} {}: trace tally", label(v));
+            let covered: u64 = trace.iter().map(SlotRecord::covered_slots).sum();
+            assert_eq!(
+                covered,
+                r.slots_run,
+                "{case:?} {}: trace coverage",
+                label(v)
+            );
         }
     }
     Run { reports, seen }
@@ -955,19 +967,16 @@ fn canon(r: &SimReport, t: u8) -> String {
     let mut r = r.clone();
     r.engine_nanos = 0;
     if t & OBSERVED != 0 {
-        r.trace = None;
         r.probes = None;
-        r.contention_stats = ContentionStats::default();
     }
-    let mut traced = None;
+    let mut traced = Vec::new();
     if t & SCHED != 0 {
         r.sched_stats = SchedStats::default();
-        r.contention_stats = ContentionStats::default();
         // Silent stretches may be recorded as different run-length splits.
-        traced = r.trace.take().map(|trace| tally(&trace));
         for out in r.probes.iter_mut().flat_map(|p| &mut p.outputs) {
-            if let ProbeOutput::Events(events) = out {
-                events.retain(|rec| !rec.event.is_scheduling_dependent());
+            if let ProbeOutput::Ring { records, .. } = out {
+                traced.push(tally(records));
+                records.clear();
             }
         }
     }
