@@ -81,7 +81,7 @@ fn run_spec_file(path: &std::path::Path, json_dir: Option<&std::path::Path>) {
         );
         std::process::exit(2);
     });
-    let key = runspec::cache_key(&spec, &runspec::code_version());
+    let key = runspec::cache_key(&spec, runspec::code_version());
     println!("spec: {}", spec.label());
     println!("cache key: {key}");
 

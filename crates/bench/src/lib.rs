@@ -14,6 +14,8 @@
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
 
+#[cfg(test)]
+mod code_identity;
 pub mod config;
 pub mod experiments;
 pub mod report;

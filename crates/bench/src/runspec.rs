@@ -20,7 +20,7 @@ use dcr_sim::engine::Protocol;
 use dcr_sim::prelude::*;
 use dcr_sim::runner::{run_trials_ctl, CancelToken, RunError, RunStats, TrialOutcome};
 use dcr_sim::{AdversarySpec, EngineConfig, Fidelity, ProbeSpec, Scheduling, SinkSpec};
-use dcr_stats::{content_hash, ExperimentReport, Proportion, Provenance, Summary};
+use dcr_stats::{content_hash, ExperimentReport, Proportion, Summary};
 use dcr_workloads::{generators, Instance};
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
@@ -393,17 +393,13 @@ impl ExperimentSpec {
     }
 }
 
-/// The code-version component of the cache key: git revision (plus a
-/// `-dirty` marker) when available, `"unknown"` otherwise. A cache keyed
-/// with `"unknown"` still self-invalidates on any spec change, just not
-/// on rebuilds.
-pub fn code_version() -> String {
-    let p = Provenance::capture();
-    match (p.git_rev, p.git_dirty) {
-        (Some(rev), Some(true)) => format!("{rev}-dirty"),
-        (Some(rev), _) => rev,
-        _ => "unknown".to_string(),
-    }
+/// The code-version component of the cache key: a hash of every source
+/// file compiled into the server and of the compiler that built it,
+/// computed by `build.rs` at compile time. Any edit, committed or not,
+/// changes it on the next build, and it needs neither `git` nor a
+/// checkout at run time.
+pub fn code_version() -> &'static str {
+    env!("DCR_CODE_VERSION")
 }
 
 /// Content-address a spec under a code version: SHA-256 over the

@@ -11,10 +11,11 @@
 //!   client ordered its JSON fields;
 //! * **invalidated by any semantic change** — seed, trial count, `p_jam`,
 //!   fidelity, every field of the spec feeds the hash;
-//! * **invalidated by code changes** — the key includes the git revision
-//!   (plus a dirty marker) captured at server start, so a rebuilt server
-//!   never serves results computed by different code. Stale entries are
-//!   simply never looked up again; they are garbage, not corruption.
+//! * **invalidated by code changes** — the key includes
+//!   [`dcr_bench::runspec::code_version`], a hash of the sources the
+//!   server was compiled from, so a rebuilt server never serves results
+//!   computed by different code. Stale entries are simply never looked up
+//!   again; they are garbage, not corruption.
 //!
 //! Writes go through a temp file and an atomic rename, so a crash
 //! mid-write leaves no half-entry that a later lookup could trust.

@@ -289,9 +289,8 @@ fn u64_value(v: u64) -> Value {
     Value::Number(serde::value::Number::U(v))
 }
 
-/// Shared server state: registry, queue, cache, identity, metrics.
+/// Shared server state: registry, queue, cache, metrics.
 struct AppState {
-    code_version: String,
     cache: DiskCache,
     experiments: Mutex<HashMap<String, Arc<Experiment>>>,
     queue: Mutex<VecDeque<Arc<Experiment>>>,
@@ -330,11 +329,12 @@ pub struct Server {
 }
 
 impl Server {
-    /// Bind the listen socket, open the cache, arm telemetry, and
-    /// capture the code version that scopes every cache key this
-    /// process computes.
+    /// Bind the listen socket, open the cache, arm telemetry, and take
+    /// the process's provenance now: it is captured once per process, so
+    /// no served run spawns a process for it.
     pub fn bind(config: ServerConfig) -> std::io::Result<Self> {
         let listener = TcpListener::bind(&config.addr)?;
+        dcr_stats::Provenance::capture();
         let cache = DiskCache::open(&config.cache_dir)?;
         let workers = match config.workers {
             0 => std::thread::available_parallelism()
@@ -346,7 +346,6 @@ impl Server {
         Ok(Self {
             listener,
             state: Arc::new(AppState {
-                code_version: runspec::code_version(),
                 cache,
                 experiments: Mutex::new(HashMap::new()),
                 queue: Mutex::new(VecDeque::new()),
@@ -453,7 +452,7 @@ fn worker_loop(state: &AppState) {
             Ok(out) => {
                 let entry = CacheEntry {
                     key: exp.id.clone(),
-                    code_version: state.code_version.clone(),
+                    code_version: runspec::code_version().to_string(),
                     spec: exp.spec.clone(),
                     report: out.report.clone(),
                     events: out.events.clone(),
@@ -519,8 +518,9 @@ fn handle_connection(stream: &mut TcpStream, state: &AppState) -> std::io::Resul
         }
         Err(e) => {
             state.metrics.errors.with(&["bad_request"]).inc();
-            let status = http::respond_error(stream, 400, &e.to_string())?;
+            let status = http::respond_error(stream, http::rejection_status(&e), &e.to_string())?;
             obs.finish("-", "other", "-", status);
+            http::discard_unread(stream);
             return Ok(());
         }
     };
@@ -545,7 +545,7 @@ fn route_request(
                 ("status".to_string(), Value::String("ok".to_string())),
                 (
                     "code_version".to_string(),
-                    Value::String(state.code_version.clone()),
+                    Value::String(runspec::code_version().to_string()),
                 ),
             ]))
             .expect("serialize healthz");
@@ -633,7 +633,7 @@ fn post_experiment(
         return http::respond_error(stream, 400, &e.to_string());
     }
 
-    let key = runspec::cache_key(&spec, &state.code_version);
+    let key = runspec::cache_key(&spec, runspec::code_version());
     let mut map = state.experiments.lock().expect("experiments lock");
     if let Some(exp) = map.get(&key) {
         let exp = Arc::clone(exp);

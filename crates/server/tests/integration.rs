@@ -399,6 +399,43 @@ fn slow_requests_time_out_instead_of_pinning_threads() {
     );
 }
 
+/// A request head over `MAX_HEAD` is refused with 431 and counted as a
+/// bad request, instead of being buffered whole; the server stays up.
+#[test]
+fn oversized_request_heads_are_refused() {
+    let addr = start_server("oversized-head");
+    let mut stream = TcpStream::connect(addr).expect("connect");
+    stream
+        .set_read_timeout(Some(Duration::from_secs(10)))
+        .expect("client timeout");
+    let pad = "a".repeat(4 * dcr_server::http::MAX_HEAD);
+    write!(stream, "GET /healthz HTTP/1.1\r\nx-pad: {pad}\r\n\r\n").expect("write request");
+    let mut raw = String::new();
+    stream
+        .read_to_string(&mut raw)
+        .expect("server responds and closes");
+    assert!(
+        raw.starts_with("HTTP/1.1 431 Request Header Fields Too Large\r\n"),
+        "expected 431, got: {raw:?}"
+    );
+    assert!(
+        raw.ends_with(r#"{"error":"request head too large"}"#),
+        "{raw}"
+    );
+
+    let (status, _) = request(addr, "GET", "/healthz", None);
+    assert_eq!(status, 200);
+    let (_, _, text) = request_raw(addr, "GET", "/metrics", None);
+    assert!(
+        metric_value(&text, "dcr_server_errors_total{kind=\"bad_request\"}") >= 1.0,
+        "the refusal must be counted:\n{text}"
+    );
+    assert!(
+        text.contains(r#"route="other",status="431""#),
+        "the refusal must be recorded with its status:\n{text}"
+    );
+}
+
 /// The checkpoint/branch route end-to-end: fork a finished experiment's
 /// trial-0 run at a prefix boundary, fan the suffix across perturbed
 /// adversaries, and verify the served branches are byte-identical to an

@@ -283,15 +283,6 @@ impl ProbeReport {
             _ => None,
         })
     }
-
-    /// The first ring buffer `(records, dropped)`, if a [`RingBufferSink`]
-    /// was configured.
-    pub fn ring(&self) -> Option<(&[SlotRecord], u64)> {
-        self.outputs.iter().find_map(|o| match o {
-            ProbeOutput::Ring { records, dropped } => Some((records.as_slice(), *dropped)),
-            _ => None,
-        })
-    }
 }
 
 /// Fan-out from the engine to every configured sink. Interest flags are

@@ -17,6 +17,7 @@
 //! which strips the volatile fields.
 
 use serde::{Deserialize, Serialize};
+use std::sync::OnceLock;
 
 /// Version of the artifact schema; bump on breaking layout changes.
 pub const SCHEMA_VERSION: u32 = 1;
@@ -96,8 +97,15 @@ pub struct Provenance {
 impl Provenance {
     /// Capture provenance from the current environment. Each field is
     /// best-effort: a missing `git` or `rustc` binary (or not running
-    /// inside a repository) yields `None`, never an error.
+    /// inside a repository) yields `None`, never an error. The first call
+    /// in a process spawns `git` and `rustc`; every later call returns a
+    /// copy of that first capture and spawns nothing.
     pub fn capture() -> Self {
+        static CAPTURED: OnceLock<Provenance> = OnceLock::new();
+        CAPTURED.get_or_init(Self::spawn_capture).clone()
+    }
+
+    fn spawn_capture() -> Self {
         let run = |cmd: &str, args: &[&str]| -> Option<String> {
             let out = std::process::Command::new(cmd).args(args).output().ok()?;
             out.status
@@ -258,5 +266,20 @@ mod tests {
         if let Some(rev) = &p.git_rev {
             assert!(rev.chars().all(|c| c.is_ascii_hexdigit()));
         }
+    }
+
+    #[test]
+    fn provenance_is_captured_once_per_process() {
+        let first = Provenance::capture();
+        for _ in 0..3 {
+            assert_eq!(Provenance::capture(), first);
+        }
+        assert_eq!(
+            Provenance::capture_with_threads(first.threads + 1),
+            Provenance {
+                threads: first.threads + 1,
+                ..first
+            }
+        );
     }
 }
