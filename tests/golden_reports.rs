@@ -9,8 +9,10 @@
 //! plan, through the park and gap counters in `sched_stats`) — with both
 //! scheduling modes and three adversaries (none,
 //! Gilbert–Elliott, reactive). One more run pauses, snapshots, restores
-//! into a fresh engine and finishes there, and two single cells pin
-//! binomial draws on both sides of `sample_binomial`'s BTRS line.
+//! into a fresh engine and finishes there, two single cells pin
+//! binomial draws on both sides of `sample_binomial`'s BTRS line, and two
+//! more pin E7's stress cell (64 exact ALIGNED jobs in one window under an
+//! all-successes jammer) in both scheduling modes.
 //!
 //! Each report is serialized with `engine_nanos` zeroed and hashed with
 //! [`sha256_hex`]. A deliberate change to a random stream updates the pins
@@ -27,7 +29,7 @@ use contention_deadlines::protocols::{
 };
 use contention_deadlines::sim::checkpoint::Checkpoint;
 use contention_deadlines::sim::engine::{Engine, EngineConfig, Protocol};
-use contention_deadlines::sim::jamming::Jammer;
+use contention_deadlines::sim::jamming::{JamPolicy, Jammer};
 use contention_deadlines::sim::job::JobSpec;
 use contention_deadlines::sim::metrics::SimReport;
 use contention_deadlines::sim::probe::{ProbeSpec, SinkSpec};
@@ -202,6 +204,20 @@ fn grid() -> Vec<(String, String)> {
         let report = build(config, &Jammer::none(), seed, &pop).run();
         out.push((format!("{}/event/clean", pop.name), digest(report)));
     }
+    // E7's stress cell in both scheduling modes: 64 ALIGNED jobs in one
+    // class-10 window, every success jammed with probability 1/2.
+    let stress = population("aligned-stress");
+    let jam = Jammer::new(JamPolicy::AllSuccesses, 0.5);
+    for (seed, dense) in [(9, false), (10, true)] {
+        let mut config = stress.config.clone().with_trace();
+        config = config.with_probe(ProbeSpec::new().with(SinkSpec::Events));
+        if dense {
+            config = config.dense();
+        }
+        let mode = if dense { "dense" } else { "event" };
+        let report = build(config, &jam, seed, &stress).run();
+        out.push((format!("aligned-stress/{mode}/all"), digest(report)));
+    }
     out
 }
 
@@ -217,7 +233,9 @@ fn grid() -> Vec<(String, String)> {
 /// probe sink: the trace is now the first probe output (a ring that
 /// dropped nothing), `contention_stats` is gone, and event logs no longer
 /// carry gap-skip events. Rewriting the older reports into that layout
-/// reproduces all 39 pins.
+/// reproduces all 39 pins. The two `aligned-stress` pins were computed
+/// before exact ALIGNED jobs parked through the estimation steps they only
+/// listen to; they did not move when that landed.
 const PINS: &str = "\
 exact-mixed/event/clean 2ea954f3f82c0feeddc5ddb11a357cdb0fab6ce87b231ddef97d1cbef00292ce
 exact-mixed/event/ge bff9ec0e7868f7eacde9bda058b27d6ba2147e474a419ee61acb4adbbaf27bca
@@ -258,6 +276,8 @@ exact-aligned/dense/reactive f7174f2917dfc0300d99c2049612cd6ecca1c03aa3f65aad8fe
 checkpoint 51cbaadfb186c03b1679542a1da6a5c9bfc1314fb3e4818d63a8d7b3e9964c11
 cohort-aligned-64/event/clean cc51f8a600fe2114090bfeb3cef9f418ad430ca85e74b6d1ec193d60ba95a9d7
 cohort-aloha-shared/event/clean 455f8a5570f31dc7b8a79627834365539b123dc6e728856064fa8681ba3d0e24
+aligned-stress/event/all 5c37b83c2889a6aa8b08b5dadf0070d6d847c19a5cde51367332837fbbc4504d
+aligned-stress/dense/all a787a2ecc574dbc9688932236b019da421af120b8b7abeef84743c84b8051a7a
 ";
 
 #[test]
