@@ -144,6 +144,7 @@ mod tests {
             local_time: 0,
             aligned_time: None,
             probed: false,
+            key: 0,
         };
         assert!((proto.tx_probability(&ctx).unwrap() - 0.01).abs() < 1e-12);
     }

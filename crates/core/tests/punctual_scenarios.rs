@@ -43,6 +43,7 @@ impl Driver {
             local_time: self.local,
             aligned_time: None,
             probed: false,
+            key: 0,
         }
     }
 

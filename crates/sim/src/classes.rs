@@ -406,7 +406,8 @@ impl ClassSet {
             if spec.release != c.release || spec.deadline != c.deadline {
                 return mismatch("class opener window differs from the checkpoint");
             }
-            let ctx = JobCtx::at(spec, spec.release, aligned, false);
+            let key = seeds.job_key(u64::from(spec.id));
+            let ctx = JobCtx::at(spec, spec.release, aligned, false, key);
             let opened = Self::open(
                 protocols[opener].as_ref(),
                 &ctx,

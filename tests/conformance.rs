@@ -25,10 +25,11 @@ fn branches_match_inline_swaps() {
 }
 
 /// Observers (a trace and probe sinks) change nothing but their own
-/// output, on exact, kernel-fallback, duty-group and cohort-class runs.
+/// output, on exact, kernel-fallback, duty-group and cohort-class runs,
+/// and on exact ALIGNED jobs parked through the steps they hear.
 #[test]
 fn observers_change_nothing_but_their_output() {
-    let pops = "mixed metronome aligned-fallback cohort-aligned";
+    let pops = "mixed metronome aligned-fallback cohort-aligned aligned-stress";
     check(&grid(pops, "clean reactive", 0..2), &[OBSERVED]);
 }
 

@@ -16,12 +16,13 @@ mod testkit;
 
 use contention_deadlines::protocols::Uniform;
 use contention_deadlines::sim::engine::{Engine, EngineConfig};
-use contention_deadlines::sim::jamming::AdversarySpec;
+use contention_deadlines::sim::jamming::{AdversarySpec, JamPolicy, Jammer};
 use contention_deadlines::sim::job::JobSpec;
 use contention_deadlines::sim::trace::{SlotOutcome, SlotRecord};
 use proptest::prelude::*;
 use testkit::{
-    arb_case, check, check_case, grid, population, Adv, Case, Pop, ALL, DENSE, OBSERVED, REUSE,
+    arb_case, check, check_case, grid, population, take_heard, watched, Adv, Case, Pop, ALL, DENSE,
+    OBSERVED, REUSE,
 };
 
 fn dense(pops: &str, seeds: std::ops::Range<u64>) {
@@ -66,6 +67,52 @@ fn hintless_protocol_matches_dense() {
 #[test]
 fn aligned_matches_dense() {
     dense("aligned", 0..4);
+}
+
+/// E7's stress shape: 64 jobs in one class-10 window, each parked
+/// through the estimation steps it only listens to, under every
+/// adversary (idle strikes and jammed idle slots included).
+#[test]
+fn aligned_stress_matches_dense() {
+    dense("aligned-stress", 0..2);
+}
+
+/// A slot cap inside the estimation run: jobs still parked through heard
+/// slots when the run stops catch up at the cap, so their listens count
+/// as under dense polling.
+#[test]
+fn capped_aligned_stress_matches_dense() {
+    let mut pop = population("aligned-stress");
+    pop.config.max_slots = Some(60);
+    let advs = ALL.split(' ').map(testkit::jammer);
+    let cases: Vec<Case> = advs.map(|adv| Case::new(pop.clone(), adv, 1)).collect();
+    check(&cases, &[DENSE]);
+}
+
+/// The witness for `aligned_stress_matches_dense`: event-driven ALIGNED
+/// jobs really park inside estimation. They wake to catch up on heard
+/// steps and credit their listens there, while dense polling credits
+/// every listen in its own slot; both count the same listens.
+#[test]
+fn aligned_stress_parks_inside_estimation() {
+    let pop = population("aligned-stress");
+    let run = |config: EngineConfig| {
+        let mut e = Engine::new(config, 11);
+        e.set_jammer(Jammer::new(JamPolicy::AllSuccesses, 0.5));
+        e.add_jobs(&pop.jobs, |s| watched(s, (pop.factory)(s)));
+        take_heard();
+        let listens: u64 = e.run().accesses.iter().map(|a| a.listens).sum();
+        (take_heard(), listens)
+    };
+    let ((wakes, credited), listens) = run(pop.config.clone());
+    assert!(wakes >= pop.jobs.len() as u64, "only {wakes} heard parks");
+    assert!(
+        credited * 2 > listens,
+        "heard parks credited {credited} of {listens} listens"
+    );
+    let (dense_heard, dense_listens) = run(pop.config.clone().dense());
+    assert_eq!(dense_heard, (0, 0), "dense polling parked a job");
+    assert_eq!(dense_listens, listens);
 }
 
 #[test]
@@ -140,7 +187,7 @@ fn idle_striking_adversary_disables_gap_skip() {
 /// modes, the trace tallies alike, and attaching them perturbs nothing.
 #[test]
 fn probe_sinks_byte_identical_across_modes() {
-    let cases = grid("punctual aligned", "clean", 0..3);
+    let cases = grid("punctual aligned aligned-stress", "clean", 0..3);
     check(&cases, &[DENSE | OBSERVED]);
 }
 
