@@ -9,7 +9,7 @@
 //! players that arrived previously … and ratcheted down their broadcast
 //! probabilities."
 
-use dcr_sim::engine::{Action, JobCtx, Protocol};
+use dcr_sim::engine::{Action, JobCtx, Protocol, Wake};
 use dcr_sim::message::Payload;
 use dcr_sim::slot::Feedback;
 use rand::{Rng, RngCore};
@@ -119,15 +119,15 @@ impl Protocol for BinaryExponentialBackoff {
         }
     }
 
-    fn next_wake(&self, ctx: &JobCtx) -> Option<u64> {
+    fn next_wake(&self, ctx: &JobCtx) -> Option<Wake> {
         if self.succeeded {
-            Some(u64::MAX)
+            Some(Wake::NEVER)
         } else if self.next_tx > ctx.local_time {
-            Some(self.next_tx)
+            Some(Wake::Asleep(self.next_tx))
         } else {
             // An attempt is due this slot or just happened; its feedback
             // (and any re-draw) lands before the next poll.
-            Some(ctx.local_time + 1)
+            Some(Wake::Asleep(ctx.local_time + 1))
         }
     }
 

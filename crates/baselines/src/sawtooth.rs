@@ -9,7 +9,7 @@
 //! contention `n` is, every run of size `2^r ≥ n` contains a window whose
 //! size is within a factor 2 of the remaining contention.
 
-use dcr_sim::engine::{Action, JobCtx, Protocol};
+use dcr_sim::engine::{Action, JobCtx, Protocol, Wake};
 use dcr_sim::message::Payload;
 use dcr_sim::probe::{EventBuf, ProbeEvent};
 use dcr_sim::slot::Feedback;
@@ -137,17 +137,17 @@ impl Protocol for Sawtooth {
         }
     }
 
-    fn next_wake(&self, ctx: &JobCtx) -> Option<u64> {
+    fn next_wake(&self, ctx: &JobCtx) -> Option<Wake> {
         if self.succeeded {
-            return Some(u64::MAX);
+            return Some(Wake::NEVER);
         }
         if !self.primed {
             return None;
         }
         if self.fire_at > ctx.local_time {
-            Some(self.fire_at)
+            Some(Wake::Asleep(self.fire_at))
         } else {
-            Some(self.window_end)
+            Some(Wake::Asleep(self.window_end))
         }
     }
 

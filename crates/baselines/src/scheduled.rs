@@ -7,7 +7,7 @@
 //! the distributed protocols are scored, and [`edf_assignment`] computes
 //! exactly that assignment for unit messages.
 
-use dcr_sim::engine::{Action, JobCtx, Protocol};
+use dcr_sim::engine::{Action, JobCtx, Protocol, Wake};
 use dcr_sim::job::JobSpec;
 use dcr_sim::message::Payload;
 use std::cmp::Reverse;
@@ -46,11 +46,11 @@ impl Protocol for ScheduledSlot {
         self.fired
     }
 
-    fn next_wake(&self, ctx: &JobCtx) -> Option<u64> {
+    fn next_wake(&self, ctx: &JobCtx) -> Option<Wake> {
         if !self.fired && self.local_slot > ctx.local_time {
-            Some(self.local_slot)
+            Some(Wake::Asleep(self.local_slot))
         } else {
-            Some(u64::MAX)
+            Some(Wake::NEVER)
         }
     }
 }

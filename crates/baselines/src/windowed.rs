@@ -10,7 +10,7 @@
 //! `n`) while the non-monotone sawtooth achieves `Θ(n)` — experiment E14
 //! reproduces that separation.
 
-use dcr_sim::engine::{Action, JobCtx, Protocol};
+use dcr_sim::engine::{Action, JobCtx, Protocol, Wake};
 use dcr_sim::message::Payload;
 use dcr_sim::slot::Feedback;
 use rand::{Rng, RngCore};
@@ -166,19 +166,19 @@ impl Protocol for WindowedBackoff {
         }
     }
 
-    fn next_wake(&self, ctx: &JobCtx) -> Option<u64> {
+    fn next_wake(&self, ctx: &JobCtx) -> Option<Wake> {
         if self.succeeded {
-            return Some(u64::MAX);
+            return Some(Wake::NEVER);
         }
         if !self.started {
             return None;
         }
         if self.fire_at > ctx.local_time {
-            Some(self.fire_at)
+            Some(Wake::Asleep(self.fire_at))
         } else {
             // Attempt made (and failed, or the engine would have retired
             // us): next event is the roll at the window boundary.
-            Some(self.window_end)
+            Some(Wake::Asleep(self.window_end))
         }
     }
 

@@ -13,7 +13,7 @@ use crate::punctual::messages::PunctualMsg;
 use crate::punctual::params::{slot_role, PunctualParams, SlotRole, ROUND_LEN};
 use crate::punctual::trim::trim_class;
 use dcr_sim::classes::{ClassCtx, ClassDriver};
-use dcr_sim::engine::{Action, CohortTx, DutyCycle, JobCtx, Protocol};
+use dcr_sim::engine::{Action, CohortTx, DutyCycle, JobCtx, Protocol, Wake};
 use dcr_sim::message::Payload;
 use dcr_sim::probe::{EventBuf, ProbeEvent};
 use dcr_sim::slot::Feedback;
@@ -794,7 +794,7 @@ impl Protocol for PunctualProtocol {
         Some(self.last_prob)
     }
 
-    fn next_wake(&self, ctx: &JobCtx) -> Option<u64> {
+    fn next_wake(&self, ctx: &JobCtx) -> Option<Wake> {
         // Round positions where the current state needs to act (cf.
         // `slot_role`: start = 0,1; timekeeper = 3; aligned = 5;
         // election = 7; anarchy = 9). Every other position is a Sleep with
@@ -808,7 +808,7 @@ impl Protocol for PunctualProtocol {
         let steps: &StepTable = match self.state {
             // Pre-sync states listen (or announce) in every slot.
             State::SyncListen { .. } | State::SyncAnnounce { .. } => return None,
-            State::Done => return Some(u64::MAX),
+            State::Done => return Some(Wake::NEVER),
             // Start pair + timekeeper beacons + election claims (a
             // claimless slingshotter still watches elections).
             State::Slingshot { .. } | State::Leader { .. } => &SLINGSHOT_STEPS,
@@ -819,7 +819,9 @@ impl Protocol for PunctualProtocol {
         };
         let anchor = self.anchor.expect("synchronized states have an anchor");
         let pos = (ctx.local_time - anchor) % ROUND_LEN;
-        Some(ctx.local_time + u64::from(steps[pos as usize]))
+        Some(Wake::Asleep(
+            ctx.local_time + u64::from(steps[pos as usize]),
+        ))
     }
 
     fn duty_cycle(&self, _ctx: &JobCtx) -> Option<DutyCycle> {

@@ -12,7 +12,7 @@
 //!
 //! Experiments E2 and E3 reproduce both facts.
 
-use dcr_sim::engine::{Action, CohortTx, JobCtx, Protocol};
+use dcr_sim::engine::{Action, CohortTx, JobCtx, Protocol, Wake};
 use dcr_sim::message::Payload;
 use dcr_sim::probe::{EventBuf, ProbeEvent};
 use rand::{Rng, RngCore};
@@ -110,15 +110,17 @@ impl Protocol for Uniform {
         Some(CohortTx::OneShot)
     }
 
-    fn next_wake(&self, ctx: &JobCtx) -> Option<u64> {
+    fn next_wake(&self, ctx: &JobCtx) -> Option<Wake> {
         // All attempt slots are drawn at activation, so the schedule is
         // fully known: sleep until the next chosen slot (or forever once
         // all attempts are spent or the message is delivered).
         if self.succeeded {
-            return Some(u64::MAX);
+            return Some(Wake::NEVER);
         }
         let next = self.chosen.partition_point(|&s| s <= ctx.local_time);
-        Some(self.chosen.get(next).copied().unwrap_or(u64::MAX))
+        Some(Wake::Asleep(
+            self.chosen.get(next).copied().unwrap_or(u64::MAX),
+        ))
     }
 
     fn save_state(&self) -> Option<Value> {

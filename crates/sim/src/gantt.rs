@@ -156,7 +156,7 @@ pub fn render_gantt(report: &SimReport, opts: GanttOptions) -> Result<String, St
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::engine::{Action, Engine, EngineConfig, JobCtx, Protocol};
+    use crate::engine::{Action, Engine, EngineConfig, JobCtx, Protocol, Wake};
     use crate::job::JobSpec;
     use crate::message::Payload;
 
@@ -243,11 +243,11 @@ mod tests {
                     Action::Sleep
                 }
             }
-            fn next_wake(&self, ctx: &JobCtx) -> Option<u64> {
+            fn next_wake(&self, ctx: &JobCtx) -> Option<Wake> {
                 Some(if ctx.local_time < self.0 {
-                    self.0
+                    Wake::Asleep(self.0)
                 } else {
-                    u64::MAX
+                    Wake::NEVER
                 })
             }
         }
