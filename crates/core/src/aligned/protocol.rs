@@ -1,10 +1,13 @@
 //! The per-job ALIGNED protocol.
 //!
-//! [`AlignedJob`] is the reusable state machine: it consumes a stream of
-//! *virtual* slots (plain aligned slots in Section 3; one aligned slot per
-//! round inside PUNCTUAL) and decides when to transmit estimation pings and
-//! data. [`AlignedProtocol`] adapts it to the [`dcr_sim::engine::Protocol`]
-//! trait for the pure aligned setting.
+//! [`AlignedJob`] is the reusable state machine and the one adapter to the
+//! engine: it consumes a stream of *virtual* slots (plain aligned slots in
+//! Section 3 and in CLOCKED's trimmed window; one aligned slot per round
+//! inside PUNCTUAL), answers each with the engine [`Action`] — sleeping
+//! through every slot it need not hear — and, where virtual time is the
+//! aligned slot, plans its wakes and catches up on parks through the slots
+//! it hears. [`AlignedProtocol`] is the [`dcr_sim::engine::Protocol`] for
+//! the pure aligned setting.
 
 use crate::aligned::cohort::{aligned_class_tag, AlignedCohort};
 use crate::aligned::estimator::Estimation;
@@ -19,24 +22,6 @@ use dcr_sim::probe::{EventBuf, ProbeEvent};
 use dcr_sim::slot::Feedback;
 use rand::{Rng, RngCore};
 
-/// What an aligned job wants to do with the current virtual slot.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum AlignedAction {
-    /// Listen (an estimation step, where the feedback feeds the replicated
-    /// estimator, or chose not to transmit in one of its own).
-    Idle,
-    /// Transmit an estimation ping.
-    Control,
-    /// Transmit the data message.
-    Data,
-    /// Nothing to transmit and nothing to hear: a broadcast step (its
-    /// feedback never enters the replicated state) or an idle slot. The
-    /// tracker has already been advanced past the slot, so the caller may
-    /// skip [`AlignedJob::observe`] and keep the radio off — and may park
-    /// the job until [`AlignedJob::next_wake_vt`].
-    Doze,
-}
-
 /// The ALIGNED state machine for one job, in virtual time.
 #[derive(Debug, Clone)]
 pub struct AlignedJob {
@@ -50,7 +35,7 @@ pub struct AlignedJob {
     drawn_subphase: Option<u64>,
     drawn_offset: u64,
     /// The virtual slot the next `decide` is expected for; a jump past it
-    /// (a parked stretch of `Doze` slots) is replayed via
+    /// (a parked stretch of slots it sleeps through) is replayed via
     /// [`Tracker::fast_forward`].
     next_vt: u64,
     succeeded: bool,
@@ -171,18 +156,22 @@ impl AlignedJob {
 
     /// Decide the action for virtual slot `vt`. Call once per virtual
     /// slot, in order, starting at `window_start` — except that slots
-    /// answered with [`AlignedAction::Doze`] may be skipped wholesale:
-    /// a jump forward replays the gap through the tracker in bulk. Follow
-    /// with [`AlignedJob::observe`] for the same slot unless the answer
-    /// was `Doze` (then `observe` is a harmless no-op on the tracker).
-    pub fn decide(&mut self, vt: u64, rng: &mut dyn RngCore) -> AlignedAction {
+    /// answered with [`Action::Sleep`] may be skipped wholesale: a jump
+    /// forward replays the gap through the tracker in bulk. Follow with
+    /// [`AlignedJob::observe`] for the same slot unless the answer was
+    /// `Sleep`, which is nothing to hear: a broadcast step (its feedback
+    /// never enters the replicated state), an idle slot, or a slot past
+    /// the window. The tracker has already consumed such a slot, and a
+    /// give-up found in it — the schedule ran out, or the window is over —
+    /// shows in [`AlignedJob::gave_up`] as `decide` returns.
+    pub fn decide(&mut self, vt: u64, rng: &mut dyn RngCore) -> Action {
         self.last_prob = 0.0;
         if vt >= self.window_start + (1u64 << self.class) {
             // Window over: truncated.
             if !self.succeeded {
                 self.gave_up = true;
             }
-            return AlignedAction::Idle;
+            return Action::Sleep;
         }
         if vt > self.next_vt {
             // Parked through a dozable stretch: replay it in bulk.
@@ -207,12 +196,12 @@ impl AlignedJob {
                 let p = Estimation::tx_probability(phase);
                 self.last_prob = p;
                 if rng.gen_bool(p) {
-                    return AlignedAction::Control;
+                    return Action::Transmit(self.control_payload());
                 }
             } else if self.probe.enabled() {
                 self.note_preemption(class);
             }
-            return AlignedAction::Idle;
+            return Action::Listen;
         }
         if class == self.class && window_start == self.window_start && !self.finished() {
             self.preempted_by = None;
@@ -227,7 +216,7 @@ impl AlignedJob {
             }
             self.last_prob = 1.0 / pos.len as f64;
             if pos.offset == self.drawn_offset {
-                return AlignedAction::Data;
+                return Action::Transmit(self.data_payload());
             }
         }
         // A broadcast step with nothing of ours in it (or another class's):
@@ -239,7 +228,7 @@ impl AlignedJob {
     /// Emit one `Preemption` event when a *different* class's estimation
     /// run interrupts our in-progress broadcast (the pecking order: smaller
     /// classes take over at their window boundaries). Only called from
-    /// attended (non-`Doze`) paths, so the emission slot is identical
+    /// attended (non-`Sleep`) paths, so the emission slot is identical
     /// across scheduling modes.
     fn note_preemption(&mut self, by_class: u32) {
         let ours_underway = self.tracker.steps_of(self.class) > 0
@@ -255,24 +244,23 @@ impl AlignedJob {
     }
 
     /// Advance the tracker past a slot whose feedback is irrelevant
-    /// (non-estimation `end_slot` ignores it) and report `Doze`. Give-up
-    /// is detected here for completion steps the job dozes through, at the
-    /// same slot `observe` would have caught it.
-    fn doze(&mut self, vt: u64) -> AlignedAction {
+    /// (non-estimation `end_slot` ignores it) and sleep through it. Give-up
+    /// is detected here for completion steps the job sleeps through, at
+    /// the same slot `observe` would have caught it.
+    fn doze(&mut self, vt: u64) -> Action {
         self.tracker.end_slot(vt, &Feedback::Silent);
         if !self.succeeded && self.tracker.is_complete(self.class) {
             self.gave_up = true;
         }
-        AlignedAction::Doze
+        Action::Sleep
     }
 
     /// Replay the virtual slots from the one after the last decided slot
     /// up to `vt`, which the job was parked through while it only
-    /// listened (a plan of [`AlignedJob::next_wake_vt`] for which
-    /// [`AlignedJob::hears_until_wake`] holds). `heard` holds
-    /// the `(vt, feedback)` pairs of the non-silent ones in ascending
-    /// order; every other slot was silent. Returns how many of the slots
-    /// the job would have listened in.
+    /// listened (a [`Wake::Hearing`] plan of [`AlignedJob::next_wake_vt`]).
+    /// `heard` holds the `(vt, feedback)` pairs of the non-silent ones in
+    /// ascending order; every other slot was silent. Returns how many of
+    /// the slots the job would have listened in.
     pub fn catch_up<'a>(
         &mut self,
         vt: u64,
@@ -298,13 +286,6 @@ impl AlignedJob {
         }
         self.next_vt = self.next_vt.max(vt);
         listens
-    }
-
-    /// Whether the plan from the last decided slot parks the job through
-    /// own estimation steps it hears rather than through slots it dozes;
-    /// see [`AlignedJob::catch_up`].
-    pub fn hears_until_wake(&self) -> bool {
-        self.tracker.estimating_next(self.class, self.window_start)
     }
 
     /// The transmission probability the job declares at `vt`: that of the
@@ -336,27 +317,57 @@ impl AlignedJob {
         self.maybe_report_estimate();
     }
 
-    /// The next virtual slot (strictly after `now`, the last decided slot)
-    /// at which this job must act or listen; every slot in between would
-    /// be answered with [`AlignedAction::Doze`]. `u64::MAX` once finished.
+    /// The wake plan in virtual time: the next virtual slot (strictly
+    /// after `now`, the last decided slot) at which this job must act.
+    /// [`Wake::Asleep`] when every slot in between would be answered with
+    /// [`Action::Sleep`]; [`Wake::NEVER`] once finished.
     ///
     /// `coin_key` must position every `decide` RNG: `decide(vt, rng)` is
-    /// handed `CounterRng::new(coin_key, vt, Phase::Act)`, as in the pure
-    /// aligned setting, where virtual time is the engine's slot. With it
-    /// the plan may instead park the job through own estimation steps
-    /// whose coin says listen ([`AlignedJob::hears_until_wake`]); those
-    /// are replayed with [`AlignedJob::catch_up`].
-    pub fn next_wake_vt(&self, now: u64, coin_key: u64) -> u64 {
+    /// handed `CounterRng::new(coin_key, vt, Phase::Act)`, as wherever
+    /// virtual time is the engine's aligned slot. With it the plan may
+    /// instead park the job through own estimation steps whose coin says
+    /// listen ([`Wake::Hearing`]); those are replayed with
+    /// [`AlignedJob::catch_up`].
+    pub fn next_wake_vt(&self, now: u64, coin_key: u64) -> Wake {
         if self.finished() {
-            return u64::MAX;
+            return Wake::NEVER;
         }
-        self.tracker.next_wake_hint(
+        let wake = self.tracker.next_wake_hint(
             now,
             self.class,
             self.window_start,
             self.drawn_subphase,
             self.drawn_offset,
             coin_key,
+        );
+        if self.tracker.estimating_next(self.class, self.window_start) {
+            Wake::Hearing(wake)
+        } else {
+            Wake::Asleep(wake)
+        }
+    }
+
+    /// [`Protocol::next_wake`] for a job whose virtual time is the aligned
+    /// slot (`decide` and `observe` are called with
+    /// [`JobCtx::aligned_now`], and `decide` with the engine's `act` RNG):
+    /// the plan of [`AlignedJob::next_wake_vt`] in local slots.
+    pub fn next_wake(&self, ctx: &JobCtx) -> Wake {
+        let now = ctx.aligned_now();
+        match self.next_wake_vt(now, ctx.key) {
+            Wake::Asleep(u64::MAX) => Wake::NEVER,
+            Wake::Asleep(vt) => Wake::Asleep(ctx.local_time + (vt - now)),
+            Wake::Hearing(vt) => Wake::Hearing(ctx.local_time + (vt - now)),
+        }
+    }
+
+    /// [`Protocol::on_heard`] for a job whose virtual time is the aligned
+    /// slot: [`AlignedJob::catch_up`] to `ctx`'s slot.
+    pub fn on_heard(&mut self, ctx: &JobCtx, heard: Heard<'_>) -> u64 {
+        // Local slots map onto virtual time by the release slot.
+        let release = ctx.aligned_now() - ctx.local_time;
+        self.catch_up(
+            ctx.aligned_now(),
+            heard.iter().map(|(t, fb)| (release + t, fb)),
         )
     }
 
@@ -427,13 +438,7 @@ impl Protocol for AlignedProtocol {
 
     fn act(&mut self, ctx: &JobCtx, rng: &mut dyn RngCore) -> Action {
         let job = self.job.as_mut().expect("activated");
-        match job.decide(ctx.aligned_now(), rng) {
-            AlignedAction::Idle => Action::Listen,
-            AlignedAction::Control => Action::Transmit(job.control_payload()),
-            AlignedAction::Data => Action::Transmit(job.data_payload()),
-            // The tracker already consumed the slot; nothing to hear.
-            AlignedAction::Doze => Action::Sleep,
-        }
+        job.decide(ctx.aligned_now(), rng)
     }
 
     fn on_feedback(&mut self, ctx: &JobCtx, fb: &Feedback, _rng: &mut dyn RngCore) {
@@ -478,31 +483,11 @@ impl Protocol for AlignedProtocol {
     }
 
     fn next_wake(&self, ctx: &JobCtx) -> Option<Wake> {
-        let job = self.job.as_ref()?;
-        let now = ctx.aligned_now();
-        // Virtual time is the engine's slot, so `act`'s rng is the counter
-        // position `(ctx.key, vt, Act)`: the plan may skip own coins.
-        let wake_vt = job.next_wake_vt(now, ctx.key);
-        if wake_vt == u64::MAX {
-            return Some(Wake::NEVER);
-        }
-        // Virtual time advances in lockstep with local time here.
-        let wake = ctx.local_time + (wake_vt - now);
-        Some(if job.hears_until_wake() {
-            Wake::Hearing(wake)
-        } else {
-            Wake::Asleep(wake)
-        })
+        self.job.as_ref().map(|job| job.next_wake(ctx))
     }
 
     fn on_heard(&mut self, ctx: &JobCtx, heard: Heard<'_>) -> u64 {
-        let job = self.job.as_mut().expect("activated");
-        // Local slots map onto virtual time by the release slot.
-        let release = ctx.aligned_now() - ctx.local_time;
-        job.catch_up(
-            ctx.aligned_now(),
-            heard.iter().map(|(t, fb)| (release + t, fb)),
-        )
+        self.job.as_mut().expect("activated").on_heard(ctx, heard)
     }
 }
 
@@ -606,12 +591,11 @@ mod tests {
         let mut jobs: Vec<AlignedJob> = (0..3).map(|i| AlignedJob::new(p, i, 4, 0)).collect();
         let mut rng = rand::rngs::mock::StepRng::new(0, 0x9e3779b97f4a7c15);
         for vt in 0..p.est_len(4) {
-            let acts: Vec<AlignedAction> =
-                jobs.iter_mut().map(|j| j.decide(vt, &mut rng)).collect();
+            let acts: Vec<Action> = jobs.iter_mut().map(|j| j.decide(vt, &mut rng)).collect();
             let tx: Vec<usize> = acts
                 .iter()
                 .enumerate()
-                .filter(|(_, a)| **a != AlignedAction::Idle)
+                .filter(|(_, a)| matches!(a, Action::Transmit(_)))
                 .map(|(i, _)| i)
                 .collect();
             let fb = match tx.len() {

@@ -7,9 +7,10 @@
 //! dozed parks and parks through the own estimation steps it only hears.
 
 use dcr_core::aligned::params::AlignedParams;
-use dcr_core::aligned::protocol::{AlignedAction, AlignedJob};
+use dcr_core::aligned::protocol::AlignedJob;
 use dcr_core::aligned::tracker::Tracker;
 use dcr_sim::crng::{CounterRng, Phase};
+use dcr_sim::engine::{Action, Wake};
 use dcr_sim::job::JobId;
 use dcr_sim::message::Payload;
 use dcr_sim::slot::Feedback;
@@ -188,10 +189,10 @@ proptest! {
     /// says listen.
     ///
     /// Each time the job is observed at `now`, a clone of it steps through
-    /// every slot before `next_wake_vt(now)`. In a dozed park each slot must
-    /// be a `Doze` that draws no RNG word; in a heard park
-    /// (`hears_until_wake`) each must be an own estimation step that draws
-    /// its one coin, `false`, and listens. Either way the clone must stay
+    /// every slot before `next_wake_vt(now)`. In an asleep park each slot
+    /// must be a `Sleep` that draws no RNG word; in a heard park each must
+    /// be an own estimation step that draws its one coin, `false`, and
+    /// listens. Either way the clone must stay
     /// unfinished. At the wake the job catches up on the heard park from
     /// the non-silent feedback alone, crediting the clone's listens; then
     /// the job and the clone must act alike, draw the same RNG words and
@@ -240,10 +241,9 @@ proptest! {
                     continue;
                 }
                 match o.decide(vt, &mut world_rng) {
-                    AlignedAction::Doze => continue,
-                    AlignedAction::Control => tx.push((*id, o.control_payload())),
-                    AlignedAction::Data => tx.push((*id, o.data_payload())),
-                    AlignedAction::Idle => {}
+                    Action::Sleep => continue,
+                    Action::Transmit(payload) => tx.push((*id, payload)),
+                    Action::Listen => {}
                 }
                 attended.push(i);
             }
@@ -258,19 +258,17 @@ proptest! {
                 }
                 let mut rng = act_rng(seed, vt);
                 let act = job.decide(vt, &mut rng);
-                match act {
-                    AlignedAction::Control => tx.push((0, job.control_payload())),
-                    AlignedAction::Data => tx.push((0, job.data_payload())),
-                    _ => {}
+                if let Action::Transmit(payload) = act {
+                    tx.push((0, payload));
                 }
                 Some((act, rng.words))
             } else {
                 if let (Some((dense_act, words)), Some(d)) = (dense_act, dense.as_ref()) {
                     if heard_park {
-                        prop_assert_eq!(dense_act, AlignedAction::Idle, "slot {} before wake {}", vt, wake);
+                        prop_assert_eq!(dense_act, Action::Listen, "slot {} before wake {}", vt, wake);
                         prop_assert_eq!(words, 1, "a heard slot drew other than its one coin");
                     } else {
-                        prop_assert_eq!(dense_act, AlignedAction::Doze, "slot {} before wake {}", vt, wake);
+                        prop_assert_eq!(dense_act, Action::Sleep, "slot {} before wake {}", vt, wake);
                         prop_assert_eq!(words, 0, "a dozed slot drew randomness");
                     }
                     prop_assert_eq!(d.finished(), job.finished(), "outcome moved in skipped slot {}", vt);
@@ -293,7 +291,7 @@ proptest! {
                 others[i].0.observe(vt, &fb);
             }
             let Some((act, words)) = act else {
-                if let (Some((AlignedAction::Idle, _)), Some(d)) = (dense_act, dense.as_mut()) {
+                if let (Some((Action::Listen, _)), Some(d)) = (dense_act, dense.as_mut()) {
                     d.observe(vt, &fb);
                     listened += 1;
                     if fb != Feedback::Silent {
@@ -302,24 +300,25 @@ proptest! {
                 }
                 continue;
             };
-            if act != AlignedAction::Doze {
+            if act != Action::Sleep {
                 job.observe(vt, &fb);
             }
             if let (Some((dense_act, dense_words)), Some(d)) = (dense_act, dense.as_mut()) {
                 prop_assert_eq!(dense_act, act, "action at wake {}", vt);
                 prop_assert_eq!(dense_words, words, "RNG words drawn at wake {}", vt);
-                if act != AlignedAction::Doze {
+                if act != Action::Sleep {
                     d.observe(vt, &fb);
                 }
                 prop_assert_eq!(format!("{d:?}"), format!("{job:?}"), "state at wake {}", vt);
             }
-            wake = job.next_wake_vt(vt, seed);
-            if wake == u64::MAX {
+            let plan = job.next_wake_vt(vt, seed);
+            if plan == Wake::NEVER {
                 prop_assert!(job.finished());
                 break;
             }
+            wake = plan.at();
             prop_assert!(wake > vt && wake <= end, "wake {} after {}", wake, vt);
-            heard_park = wake > vt + 1 && job.hears_until_wake();
+            heard_park = wake > vt + 1 && matches!(plan, Wake::Hearing(_));
             (listened, missed) = (0, Vec::new());
             dense = Some(job.clone());
         }
