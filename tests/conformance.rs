@@ -6,7 +6,9 @@
 
 mod testkit;
 
-use testkit::{check, grid, pairwise, ALL, BRANCH, OBSERVED, POPULATIONS, RESTORE};
+use testkit::{
+    check, grid, idle_listens, pairwise, population, ALL, BRANCH, OBSERVED, POPULATIONS, RESTORE,
+};
 
 /// `Metronome` is the one checkpointable protocol with duty groups: its
 /// members' duty registrations, group schedules and lazily settled
@@ -26,11 +28,35 @@ fn branches_match_inline_swaps() {
 
 /// Observers (a trace and probe sinks) change nothing but their own
 /// output, on exact, kernel-fallback, duty-group and cohort-class runs,
-/// and on exact ALIGNED jobs parked through the steps they hear.
+/// and on exact ALIGNED and CLOCKED jobs parked through the steps they
+/// hear.
 #[test]
 fn observers_change_nothing_but_their_output() {
-    let pops = "mixed metronome aligned-fallback cohort-aligned aligned-stress";
+    let pops = "mixed metronome aligned-fallback cohort-aligned aligned-stress clocked";
     check(&grid(pops, "clean reactive", 0..2), &[OBSERVED]);
+}
+
+/// The listen audit: an ALIGNED job, in the pure aligned setting or
+/// inside CLOCKED's trimmed window, listens only where the feedback feeds
+/// its replicated tracker, so every listen changes its state. PUNCTUAL's
+/// listens are counted too (run with `--nocapture` to see them by state).
+#[test]
+fn aligned_listens_all_change_state() {
+    for name in ["aligned", "aligned-stress", "clocked"] {
+        let audit = idle_listens(&population(name), 0..1);
+        let (idle, listens) = audit.values().fold((0, 0), |a, c| (a.0 + c.0, a.1 + c.1));
+        assert!(listens > 0, "{name}: nothing listened");
+        assert_eq!(
+            idle, 0,
+            "{name}: listens that changed nothing, by state: {audit:?}"
+        );
+    }
+    let audit = idle_listens(&population("punctual"), 0..2);
+    println!("punctual (listens that changed nothing, listens) by state: {audit:?}");
+    assert!(
+        audit.values().any(|c| c.1 > 0),
+        "punctual: nothing listened"
+    );
 }
 
 #[test]

@@ -228,7 +228,9 @@ fn jam_success_ratio_matches_configured_p_jam() {
 fn clocked_equals_aligned_on_aligned_instances() {
     // On power-of-2-aligned windows, CLOCKED's trim is the identity, so it
     // must reproduce ALIGNED decision-for-decision: same seeds, same
-    // outcomes, same channel counters. A cross-protocol differential test.
+    // outcomes, same channel counters, and the same channel accesses per
+    // job, since both run the one ALIGNED adapter. A cross-protocol
+    // differential test.
     use contention_deadlines::protocols::{ClockedParams, ClockedProtocol};
     let params = AlignedParams::new(1, 2, 9);
     let instance = aligned_classes(
@@ -262,6 +264,7 @@ fn clocked_equals_aligned_on_aligned_instances() {
 
         assert_eq!(ra.outcomes(), rc.outcomes(), "seed {seed}");
         assert_eq!(ra.counts, rc.counts, "seed {seed}");
+        assert_eq!(ra.accesses, rc.accesses, "seed {seed}");
     }
 }
 

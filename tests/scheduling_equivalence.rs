@@ -115,6 +115,14 @@ fn aligned_stress_parks_inside_estimation() {
     assert_eq!(dense_listens, listens);
 }
 
+/// CLOCKED on unaligned windows: jobs asleep until their trimmed window,
+/// parked through the estimation steps they hear and the broadcast steps
+/// they sleep through, and falling back to per-slot coins.
+#[test]
+fn clocked_matches_dense() {
+    dense("clocked", 0..2);
+}
+
 #[test]
 fn punctual_matches_dense() {
     dense("punctual", 0..3);
@@ -187,7 +195,7 @@ fn idle_striking_adversary_disables_gap_skip() {
 /// modes, the trace tallies alike, and attaching them perturbs nothing.
 #[test]
 fn probe_sinks_byte_identical_across_modes() {
-    let cases = grid("punctual aligned aligned-stress", "clean", 0..3);
+    let cases = grid("punctual aligned aligned-stress clocked", "clean", 0..3);
     check(&cases, &[DENSE | OBSERVED]);
 }
 
