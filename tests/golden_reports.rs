@@ -2,11 +2,13 @@
 //! grid, pinned so that a refactor of the slot loop cannot move a single
 //! RNG draw, counter, trace record or probe event without failing here.
 //!
-//! The grid crosses six populations — exact per-job protocols (duty
+//! The grid crosses eight populations — exact per-job protocols (duty
 //! groups, wake hints, dense pollers), cohort ALOHA, cohort one-shot
 //! UNIFORM, cohort ALIGNED classes, a vectorized mix with class-profile
-//! fallbacks, and exact ALIGNED jobs in two classes (the tracker's wake
-//! plan, through the park and gap counters in `sched_stats`) — with both
+//! fallbacks, exact ALIGNED jobs in two classes (the tracker's wake
+//! plan, through the park and gap counters in `sched_stats`), exact
+//! PUNCTUAL jobs whose followers run the embedded ALIGNED job, and
+//! CLOCKED jobs parked through the steps they hear — with both
 //! scheduling modes and three adversaries (none,
 //! Gilbert–Elliott, reactive). One more run pauses, snapshots, restores
 //! into a fresh engine and finishes there, two single cells pin
@@ -119,6 +121,8 @@ fn populations() -> Vec<Pop> {
             name: "exact-aligned".into(),
             ..population("aligned")
         },
+        population("punctual"),
+        population("clocked"),
     ]
 }
 
@@ -235,7 +239,9 @@ fn grid() -> Vec<(String, String)> {
 /// carry gap-skip events. Rewriting the older reports into that layout
 /// reproduces all 39 pins. The two `aligned-stress` pins were computed
 /// before exact ALIGNED jobs parked through the estimation steps they only
-/// listen to; they did not move when that landed.
+/// listen to; they did not move when that landed. The `punctual` and
+/// `clocked` pins were taken while PUNCTUAL's followers still heard the
+/// timekeeper beacon through a duty-group listen position.
 const PINS: &str = "\
 exact-mixed/event/clean 2ea954f3f82c0feeddc5ddb11a357cdb0fab6ce87b231ddef97d1cbef00292ce
 exact-mixed/event/ge bff9ec0e7868f7eacde9bda058b27d6ba2147e474a419ee61acb4adbbaf27bca
@@ -273,6 +279,18 @@ exact-aligned/event/reactive caca12cf6da93a04618374e254c4ff1df8278121f7eb91d9907
 exact-aligned/dense/clean b5463a12eb3a19983eced0b688e77434aed1beb1aaea2aa5f5467e59c585e020
 exact-aligned/dense/ge 3979425b4a35429a1c7bd306dcdbe5baa0b963fcd7ec1cccecf25324932f856b
 exact-aligned/dense/reactive f7174f2917dfc0300d99c2049612cd6ecca1c03aa3f65aad8fe728a896cfec48
+punctual/event/clean 5b3f8cd7bda65eaf54c8ee95259207ecced34a3931aa521039443171e3c683c6
+punctual/event/ge a42deccb318f356c628e6bd8586070a8a2c3e6960e298b63ec978611dc4317e1
+punctual/event/reactive 6bb010e455d264e811830dcf139756e791681137bcbf741524ebba5d3a529fd1
+punctual/dense/clean 43f3f853fb47282ca6852958104a86aeee138c360319bab3657a9dcd54344655
+punctual/dense/ge af994a2dc20193b153d1de922051f5dc33b32be6c8eb2c39cbb650e7f7a5bc1d
+punctual/dense/reactive e2317aa3d7acaf2115181b4e34784e210a9fcbb70fa9ae10d204f4427e41a98d
+clocked/event/clean 187efbe942b0d952a343c10f6221bdd4bb7cd6d40afee503527868b11a9c9ab6
+clocked/event/ge 05367b5d08efe391a1ed4e44199262455aabe14ac5661d0a5f83d972fdfa5df6
+clocked/event/reactive 114a8f7af7423120b88ba2fac55d3ab8b1b12d1802cb9d517172384946f501ac
+clocked/dense/clean 47f6660b0663a1c1e1a2bc0a54e690c7522ed46889895e97b7a601117e9021de
+clocked/dense/ge c557222ddeb0373fe4f29e16c204f8f9714437676972c7950f66783800899d23
+clocked/dense/reactive 0da0dfc1393f8d36c4a10c1c1c0e793c5bd2b02e15e7d12897d9486d47610ae6
 checkpoint 51cbaadfb186c03b1679542a1da6a5c9bfc1314fb3e4818d63a8d7b3e9964c11
 cohort-aligned-64/event/clean cc51f8a600fe2114090bfeb3cef9f418ad430ca85e74b6d1ec193d60ba95a9d7
 cohort-aloha-shared/event/clean 455f8a5570f31dc7b8a79627834365539b123dc6e728856064fa8681ba3d0e24
