@@ -772,56 +772,28 @@ impl Protocol for PunctualProtocol {
         // persistence contract holds. The cycle takes precedence over
         // `next_wake`, which keeps its default: pre-synchronization states
         // are polled every slot.
-        let (wake_mask, listen_mask): (u64, u64) = match self.state {
+        let wake_mask = match self.state {
             // Pre-synchronization states poll densely; `Done` is retired by
             // the engine before this is ever consulted.
             State::SyncListen { .. } | State::SyncAnnounce { .. } | State::Done => return None,
             // Timekeeper beacons + election claims (a claimless
-            // slingshotter still watches elections). Slingshot reactions to
-            // the beacon depend on per-member state (claims left, deadline),
-            // so the timekeeper slot stays a full wake for them.
-            State::Slingshot { .. } | State::Leader { .. } => (1 << 3 | 1 << 7, 0),
-            // Aligned virtual slots need a real act; the timekeeper beacon
-            // is a pure listen, group-resolved via `duty_listen` (a stable
-            // leader's beacon re-states what every follower's clock already
-            // knows).
-            State::Follow { .. } => (1 << 5, 1 << 3),
+            // slingshotter still watches elections).
+            State::Slingshot { .. } | State::Leader { .. } => 1 << 3 | 1 << 7,
+            // Aligned virtual slots need a real act; at the timekeeper
+            // slot `act` listens with no draw, and the beacon arrives
+            // through `on_feedback` (it can move the follower to a new
+            // epoch's leadership).
+            State::Follow { .. } => 1 << 3 | 1 << 5,
             // Only the anarchy slot.
-            State::Anarchist => (1 << 9, 0),
+            State::Anarchist => 1 << 9,
         };
         Some(DutyCycle {
             period: ROUND_LEN as u8,
             wake_mask,
             tx_mask: 1 << 0 | 1 << 1,
             tx_payload: PunctualMsg::Start.encode(),
-            listen_mask,
             anchor_local: self.anchor.expect("synchronized states have an anchor"),
         })
-    }
-
-    fn duty_listen(&self, ctx: &JobCtx, fb: &Feedback) -> bool {
-        // Only `Follow` declares a listen position (the timekeeper slot).
-        // Its `on_timekeeper` arm reacts solely to epoch changes, and the
-        // clock refresh a beacon performs is semantically idempotent when
-        // the epoch matches and the round count agrees with what the clock
-        // already predicts (both advance one round per round on the same
-        // grid, so agreement now means agreement at every future round
-        // start). Every follower in a duty group shares the leader's epoch
-        // and round count — they all heard the same beacon history — so one
-        // member's answer holds for all. Any non-beacon feedback (silence,
-        // noise, a deposed leader's data handoff) leaves a follower's state
-        // untouched.
-        match fb.payload().and_then(PunctualMsg::decode) {
-            Some(PunctualMsg::Beacon { epoch, rho, .. }) => match self.clock {
-                Some(c) => {
-                    let l = ctx.local_time;
-                    let round_start = l - self.pos(l);
-                    c.epoch == epoch && c.rho(round_start) == rho
-                }
-                None => false,
-            },
-            _ => true,
-        }
     }
 }
 

@@ -22,8 +22,8 @@
 //!   order — `swap_remove` order is behavior, not noise);
 //! * the wake-queue calendar (entries in pop order plus lifetime counters);
 //! * each live job's protocol state ([`crate::engine::Protocol::save_state`]);
-//! * duty groups verbatim, including member order (the listen-representative
-//!   is the first member, so order affects behavior);
+//! * duty groups verbatim (see [`crate::duty`] for why they are copied
+//!   rather than re-registered);
 //! * cohort aggregates and phase-synchronized class drivers
 //!   ([`crate::classes::ClassDriver::save_state`]);
 //! * the vectorized kernel's buckets and one-shot calendar ([`KernelSnap`]);
@@ -68,7 +68,7 @@ use std::fmt;
 
 /// Version tag of the checkpoint wire format. Bump on any layout change;
 /// [`crate::engine::Engine::restore`] rejects other versions.
-pub const CHECKPOINT_VERSION: u32 = 4;
+pub const CHECKPOINT_VERSION: u32 = 5;
 
 /// A complete engine-state image at a slot boundary. See the
 /// [module docs](self) for the capture contract.
@@ -265,7 +265,6 @@ mod tests {
             wake_mask: 0b1,
             tx_mask: 0b10,
             tx_payload: crate::message::Payload::Control(crate::message::ControlMsg::of_kind(7)),
-            listen_mask: 0b100,
             anchor_local: 3,
         };
         duty.register(2, &dc, 0, 4);

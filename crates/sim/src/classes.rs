@@ -215,7 +215,7 @@ pub(crate) struct ClassSet {
 }
 
 impl ClassSet {
-    /// Drop all classes (trial-arena reset).
+    /// Drop all classes (trial-arena clearing).
     pub fn clear(&mut self) {
         self.entries.clear();
         self.total = 0;

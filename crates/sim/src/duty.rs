@@ -4,14 +4,17 @@
 //! [`crate::engine::Protocol::duty_cycle`]) leaves the engine's active set
 //! for the group of every job sharing its schedule at the same global
 //! phase. The engine then visits the group as a unit: wake positions poll
-//! the members, standing-transmission positions occupy the channel in
-//! aggregate, and listen positions are resolved by one representative.
-//! Per-member transmission and listen counters are settled lazily, in
+//! the members, and standing-transmission positions occupy the channel in
+//! aggregate. Per-member transmission counters are settled lazily, in
 //! closed form, when the member leaves the layer.
 //!
 //! The whole set is serialized verbatim into a
-//! [`crate::checkpoint::Checkpoint`] — group *member order* selects the
-//! listen representative, so groups are transplanted, never re-registered.
+//! [`crate::checkpoint::Checkpoint`]. Member order only sets the order a
+//! group is polled in, which no unprobed report shows; the set travels
+//! verbatim because the per-job registration slots behind the lazy counts
+//! must travel anyway, and a copy needs no rebuild code beyond
+//! `DutySet::is_consistent`'s check. Groups are transplanted, never
+//! re-registered.
 
 use crate::engine::DutyCycle;
 use crate::message::Payload;
@@ -29,7 +32,6 @@ pub(crate) struct DutyGroup {
     pub anchor_mod: u8,
     pub wake_mask: u64,
     pub tx_mask: u64,
-    pub listen_mask: u64,
     pub payload: Payload,
     /// Live member job indices; `swap_remove` removal, order arbitrary.
     pub members: Vec<u32>,
@@ -57,7 +59,6 @@ impl DutyGroup {
             && self.anchor_mod == anchor_mod
             && self.wake_mask == dc.wake_mask
             && self.tx_mask == dc.tx_mask
-            && self.listen_mask == dc.listen_mask
             && self.payload == dc.tx_payload
     }
 }
@@ -143,11 +144,6 @@ impl DutySet {
     pub(crate) fn register(&mut self, idx: usize, dc: &DutyCycle, release: u64, slot: u64) {
         debug_assert!(dc.period > 0 && dc.period <= 64, "period out of range");
         debug_assert_eq!(dc.wake_mask & dc.tx_mask, 0, "masks must be disjoint");
-        debug_assert_eq!(
-            (dc.wake_mask | dc.tx_mask) & dc.listen_mask,
-            0,
-            "listen mask must be disjoint from wake and tx masks"
-        );
         debug_assert!(
             !dc.tx_payload.is_data(),
             "standing transmissions cannot carry data"
@@ -163,7 +159,6 @@ impl DutySet {
                     anchor_mod,
                     wake_mask: dc.wake_mask,
                     tx_mask: dc.tx_mask,
-                    listen_mask: dc.listen_mask,
                     payload: dc.tx_payload,
                     members: Vec::new(),
                 });
@@ -178,10 +173,8 @@ impl DutySet {
     }
 
     /// Remove `idx` from its group, if registered, and credit `acc` with
-    /// the standing transmissions and aggregate listens it made in
-    /// `[reg_slot, now)`, plus `attended` listens the lazy settle does not
-    /// cover (a fan-out slot the member observed individually).
-    pub(crate) fn leave(&mut self, idx: usize, now: u64, acc: &mut AccessCounts, attended: u64) {
+    /// the standing transmissions it made in `[reg_slot, now)`.
+    pub(crate) fn leave(&mut self, idx: usize, now: u64, acc: &mut AccessCounts) {
         let (g1, pos) = self.where_of[idx];
         if g1 == 0 {
             return;
@@ -197,16 +190,14 @@ impl DutySet {
         self.total -= 1;
         let from = self.reg_slot[idx];
         acc.transmissions += covered_count(from, now, g.period, g.anchor_mod, g.tx_mask);
-        acc.listens += covered_count(from, now, g.period, g.anchor_mod, g.listen_mask) + attended;
     }
 
-    /// Earliest slot ≥ `slot` at which any group wakes, transmits, or
-    /// listens.
+    /// Earliest slot ≥ `slot` at which any group wakes or transmits.
     pub(crate) fn next_event(&self, slot: u64) -> u64 {
         let mut best = u64::MAX;
         let mut memo = (0u64, 0u64);
         for g in &self.groups {
-            let bits = g.wake_mask | g.tx_mask | g.listen_mask;
+            let bits = g.wake_mask | g.tx_mask;
             if g.members.is_empty() || bits == 0 {
                 continue;
             }

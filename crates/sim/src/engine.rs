@@ -25,15 +25,14 @@
 //! |---|---|---|---|
 //! | expire | kernel | deadlines | kernel liveness |
 //! | gap skip | all (liveness, next event) | releases, wake slots, duty pattern | slot cursor, silent counts, adversary |
-//! | wake | wake queues, duty groups, heard log | due entries, `on_heard` | active set; backstopped members leave their group; listeners catch up |
+//! | wake | wake queue, duty groups, heard log | due entries, `on_heard` | active set; backstopped members leave their group; listeners catch up |
 //! | activate | cohorts, classes, kernel, active set | `cohort_tx`, `class_driver` | the job's owner |
-//! | collect actions | active set, duty groups | `act`, `tx_probability` | transmitters, codes, standing and listen groups |
+//! | collect actions | active set, duty groups | `act`, `tx_probability` | transmitters, codes, standing transmissions |
 //! | aggregate draws | cohorts, classes, kernel | cohort, class and job counters | transmitter counts, kernel transmitters |
 //! | resolve + account | cohorts, classes, jammer | all transmitters | lone winner, collision charges, slot counts, trace, heard log |
 //! | deliver | kernel, cohorts | delivered data | outcomes, kernel lanes, cohort winner |
-//! | feedback: active | active set, wake queues | feedback, `duty_cycle`, `next_wake` | protocol state; retire, park asleep or listening, or join a group |
+//! | feedback: active | active set, wake queue, heard log | feedback, `duty_cycle`, `next_wake` | protocol state; retire, park asleep or hearing, or join a group |
 //! | feedback: duty members | duty groups | feedback, `duty_cycle` | protocol state; regroup or retire |
-//! | feedback: listen fan-out | duty groups | `duty_listen` of one representative | per-member feedback when not group-invariant |
 //! | class settle | classes | feedback | class state; ejected members join the active set |
 //! | probe drain | probe bus | protocol and driver events | bus |
 //! | dissolve | cohorts, classes | deadlines | drops finished aggregates |
@@ -52,14 +51,12 @@
 //!
 //! ## Trial arena
 //!
-//! Engines are reusable: [`Engine::reset`] returns a used engine to its
-//! just-constructed state while keeping every internal allocation (job
-//! table, wake queue, scratch buffers), and a dropped engine donates those
-//! allocations to a thread-local pool that the next [`Engine::new`] on the
-//! same thread drains. Monte-Carlo workers therefore allocate their
-//! simulation state once per thread, not once per trial, with bit-identical
-//! results (the reset contract is exactly "everything derived from the seed
-//! and the jobs is cleared").
+//! A dropped engine donates its internal allocations (job table, wake
+//! queue, scratch buffers) to a thread-local pool, cleared, and the next
+//! [`Engine::new`] on the same thread drains it. Monte-Carlo workers
+//! therefore allocate their simulation state once per thread, not once per
+//! trial, with bit-identical results (clearing drops everything derived
+//! from the seed and the jobs).
 
 use crate::checkpoint::{Checkpoint, CheckpointError, Digest, CHECKPOINT_VERSION};
 use crate::classes::{ClassCtx, ClassDriver, ClassEvent, ClassSet};
@@ -276,15 +273,6 @@ pub struct DutyCycle {
     pub tx_mask: u64,
     /// The payload broadcast at `tx_mask` positions. Never a data message.
     pub tx_payload: Payload,
-    /// Positions where the job always listens, consumes no randomness, and
-    /// — for the overwhelmingly common feedback — changes no state. Must be
-    /// disjoint from both other masks. The engine resolves these positions
-    /// per *group*: one representative member is asked, via
-    /// [`Protocol::duty_listen`], whether the slot's feedback is
-    /// group-invariant; only when it is not does every member get an
-    /// individual `on_feedback` call. Per-member listen counters are
-    /// settled lazily in closed form, like standing transmissions.
-    pub listen_mask: u64,
     /// The *local* slot that is position 0 of the pattern.
     pub anchor_local: u64,
 }
@@ -373,12 +361,12 @@ pub trait Protocol {
     /// Stronger scheduling hint for protocols whose wake pattern is
     /// *periodic*: a duty cycle declares, relative to a protocol-chosen
     /// anchor, a repeating pattern of **wake positions** (slots needing a
-    /// real `act()` call) and **standing-transmission positions** (slots
-    /// where the protocol would deterministically transmit `tx_payload`
-    /// with probability 1, drawing no randomness and changing no state, and
-    /// where the slot's feedback would change no state either). Every other
-    /// position promises [`Action::Sleep`] exactly as under
-    /// [`Protocol::next_wake`].
+    /// real `act()` call, including every slot the job listens in) and
+    /// **standing-transmission positions** (slots where the protocol would
+    /// deterministically transmit `tx_payload` with probability 1, drawing
+    /// no randomness and changing no state, and where the slot's feedback
+    /// would change no state either). Every other position promises
+    /// [`Action::Sleep`] exactly as under [`Protocol::next_wake`].
     ///
     /// Under [`Scheduling::EventDriven`] the engine keeps such jobs in
     /// per-schedule **duty groups**: wake positions are visited by group
@@ -399,28 +387,6 @@ pub trait Protocol {
     /// default (`None`) opts out.
     fn duty_cycle(&self, _ctx: &JobCtx) -> Option<DutyCycle> {
         None
-    }
-
-    /// Group-invariance check for [`DutyCycle::listen_mask`] positions.
-    ///
-    /// Called on **one representative member** of a duty group whose
-    /// pattern has a listen bit at the current position, after the slot
-    /// resolved. Returning `true` asserts that *every* job registered under
-    /// this member's duty schedule would, on observing `fb` at this
-    /// position, neither change state nor emit probe events — so the engine
-    /// skips the per-member `on_feedback` fan-out entirely (listen counters
-    /// are settled lazily). Returning `false` (the default) makes the
-    /// engine deliver `fb` to every member individually, which is always
-    /// correct.
-    ///
-    /// The answer must be derivable from group-uniform information: the
-    /// feedback itself plus state that the schedule key forces all members
-    /// to share. A protocol whose members can disagree on the answer must
-    /// not declare listen positions. The engine additionally forces the
-    /// fan-out whenever `fb` delivers a member's own data message, so
-    /// implementations need not handle that case.
-    fn duty_listen(&self, _ctx: &JobCtx, _fb: &Feedback) -> bool {
-        false
     }
 
     /// Aggregate-simulation hint: a constant per-slot transmission profile
@@ -630,16 +596,19 @@ impl JobTable {
     }
 }
 
-/// `HeardLog::since` of a job that is not parked through heard slots.
+/// `HeardLog::since` of a job that is not parked through heard slots:
+/// a wake-queue entry of such a job is an asleep park.
 const NOT_LISTENING: u64 = u64::MAX;
 
 /// Entries below which [`HeardLog`] never compacts.
 const HEARD_COMPACT_MIN: usize = 1024;
 
 /// The feedback log of jobs parked through slots they hear (see
-/// [`Wake::Hearing`]). Entries are appended only while some such job is
-/// parked, and the log empties when none is. Compaction drops what every
-/// parked listener has already passed, so the log never holds more than `max(HEARD_COMPACT_MIN, 2 × m)` entries, where `m` is
+/// [`Wake::Hearing`]); such jobs wait in the one wake queue beside asleep
+/// parks, and `since` tells the two apart. Entries are appended only while
+/// some such job is parked, and the log empties when none is. Compaction
+/// drops what every parked listener has already passed, so the log never
+/// holds more than `max(HEARD_COMPACT_MIN, 2 × m)` entries, where `m` is
 /// the longest backlog (non-silent slots since it parked) any parked
 /// listener has had since the log last emptied.
 #[derive(Default)]
@@ -652,6 +621,9 @@ struct HeardLog {
     /// while it is parked listening, else [`NOT_LISTENING`]. Sized at the
     /// run's first such park, so runs without one pay nothing.
     since: Vec<u64>,
+    /// Jobs parked listening: the entries of `since` other than
+    /// [`NOT_LISTENING`].
+    listeners: usize,
     /// Length at which the next compaction runs.
     compact_at: usize,
 }
@@ -661,6 +633,7 @@ impl HeardLog {
         self.entries.clear();
         self.base = 0;
         self.since.clear();
+        self.listeners = 0;
         self.compact_at = HEARD_COMPACT_MIN;
     }
 
@@ -670,6 +643,12 @@ impl HeardLog {
             self.since.resize(n, NOT_LISTENING);
         }
         self.since[idx] = self.base + self.entries.len() as u64;
+        self.listeners += 1;
+    }
+
+    /// Is job `idx` parked listening?
+    fn hearing(&self, idx: usize) -> bool {
+        self.since.get(idx).is_some_and(|&s| s != NOT_LISTENING)
     }
 
     /// Log one non-silent slot, compacting when the log has doubled.
@@ -687,12 +666,13 @@ impl HeardLog {
     /// What job `idx` missed since it parked; it no longer listens.
     fn take(&mut self, idx: usize) -> &[(u64, Feedback)] {
         let from = (std::mem::replace(&mut self.since[idx], NOT_LISTENING) - self.base) as usize;
+        self.listeners -= 1;
         &self.entries[from..]
     }
 
     /// Empty the log once no job is parked listening.
-    fn settle(&mut self, listeners: usize) {
-        if listeners == 0 && !self.entries.is_empty() {
+    fn settle(&mut self) {
+        if self.listeners == 0 && !self.entries.is_empty() {
             self.entries.clear();
             self.base = 0;
             self.compact_at = HEARD_COMPACT_MIN;
@@ -717,9 +697,6 @@ struct SlotScratch {
     /// Where duty members start in `polled` (the active set's length when
     /// actions were collected).
     duty_from: usize,
-    /// Indices (into `DutySet::groups`) of groups with a listen bit at the
-    /// current position, resolved per group after the slot's feedback.
-    listen_groups: Vec<u32>,
     /// Standing duty transmissions this slot, and the lone one's
     /// `(job, payload)` when there is exactly one.
     standing: u64,
@@ -744,7 +721,6 @@ impl SlotScratch {
         self.polled.clear();
         self.codes.clear();
         self.ctxs.clear();
-        self.listen_groups.clear();
         self.probe_order.clear();
         self.kernel_tx.clear();
         self.class_outbox.clear();
@@ -776,7 +752,6 @@ mod arena {
         pub active: Vec<u32>,
         pub by_release: Vec<u32>,
         pub parked: WakeQueue,
-        pub listening: WakeQueue,
         pub heard: HeardLog,
         pub scratch: SlotScratch,
         pub event_scratch: Vec<ProbeEvent>,
@@ -792,7 +767,6 @@ mod arena {
             self.active.clear();
             self.by_release.clear();
             self.parked.clear();
-            self.listening.clear();
             self.heard.clear();
             self.scratch.clear();
             self.event_scratch.clear();
@@ -926,12 +900,10 @@ pub struct Engine {
     /// Job indices visited every slot; jobs leave by retirement or parking
     /// (`swap_remove`, so order is arbitrary — see the module docs).
     active: Vec<u32>,
+    /// Parked jobs, asleep or hearing ([`Wake`]), and the deadline
+    /// backstops of duty members.
     parked: WakeQueue,
-    /// Jobs parked through slots they hear ([`Wake::Hearing`]).
-    /// Kept apart from `parked`, so [`SchedStats`] counts the same parks
-    /// as a run that polled them.
-    listening: WakeQueue,
-    /// The feedback those jobs miss while parked.
+    /// The feedback jobs parked hearing miss, and which parks those are.
     heard: HeardLog,
     /// Job indices sorted by `(release, id)`; a cursor into this drives
     /// activation.
@@ -947,7 +919,7 @@ pub struct Engine {
     /// The vectorized slot kernel (empty unless fidelity is
     /// [`Fidelity::Vectorized`]; see [`crate::kernel`]).
     kernel: SlotKernel,
-    /// Guards against a second `run` without a `reset` in between.
+    /// Guards against a second `run`: the first consumed the jobs.
     ran: bool,
     /// The paused-run state (see [`RunState`]); `Some` while a run is in
     /// flight between `begin` and [`Engine::finish`].
@@ -980,7 +952,6 @@ impl Engine {
             active: parts.active,
             by_release: parts.by_release,
             parked: parts.parked,
-            listening: parts.listening,
             heard: parts.heard,
             scratch: parts.scratch,
             event_scratch: parts.event_scratch,
@@ -997,34 +968,6 @@ impl Engine {
     /// allocations instead of allocating fresh ones (diagnostic).
     pub fn arena_reuses() -> u64 {
         arena::reuses()
-    }
-
-    /// Return the engine to its just-constructed state under a new master
-    /// seed, keeping the configuration and every internal allocation.
-    ///
-    /// The reset contract (what bit-identity across reuse requires): all
-    /// job state, the active set, the wake queue including its lifetime
-    /// counters, all per-slot scratch, the aggregate owners, the jammer
-    /// (back to [`Jammer::none`]; install the trial's adversary after the
-    /// reset), and the seed sequence. Nothing else in the engine carries
-    /// state between runs.
-    pub fn reset(&mut self, seed: u64) {
-        self.seeds = SeedSeq::new(seed);
-        self.jammer = Jammer::none();
-        self.jobs.clear();
-        self.active.clear();
-        self.by_release.clear();
-        self.parked.clear();
-        self.listening.clear();
-        self.heard.clear();
-        self.scratch.clear();
-        self.event_scratch.clear();
-        self.cohorts.clear();
-        self.classes.clear();
-        self.duty.clear();
-        self.kernel.clear();
-        self.ran = false;
-        self.run_state = None;
     }
 
     /// Install a jamming adversary (default: none).
@@ -1057,8 +1000,9 @@ impl Engine {
 
     /// Run the simulation to completion and return the report.
     ///
-    /// Runs once per [`Engine::reset`] (or construction): the jobs are
-    /// consumed by the run, so a second call without a reset panics.
+    /// Runs once per engine: the jobs are consumed by the run, so a second
+    /// call panics. Build a new engine for the next trial; [`Engine::new`]
+    /// reuses the dropped one's allocations.
     pub fn run(&mut self) -> SimReport {
         if self.run_state.is_none() {
             self.begin();
@@ -1092,7 +1036,7 @@ impl Engine {
     fn begin(&mut self) {
         assert!(
             !self.ran,
-            "Engine::run called twice; call Engine::reset between runs"
+            "Engine::run called twice; build a new engine for each run"
         );
         self.ran = true;
         let horizon = self
@@ -1177,13 +1121,12 @@ impl Engine {
             self.collect_actions(&st);
             self.draw_aggregates(&st);
             let (feedback, delivered) = self.resolve(&mut st);
-            if !self.listening.is_empty() && feedback != Feedback::Silent {
+            if self.heard.listeners > 0 && feedback != Feedback::Silent {
                 self.heard.record(st.slot, feedback);
             }
             self.deliver(st.slot, delivered);
             self.feedback_active(&st, &feedback);
             self.feedback_duty(&st, &feedback);
-            self.fan_out_listens(&st, &feedback);
             self.settle_classes(st.slot, &feedback);
             if st.probed {
                 self.drain_probes(&mut st);
@@ -1210,7 +1153,6 @@ impl Engine {
     fn all_dead(&self, st: &RunState) -> bool {
         self.active.is_empty()
             && self.parked_live() == 0
-            && self.listening.is_empty()
             && self.cohorts.live() == 0
             && self.classes.live() == 0
             && self.kernel.pending() == 0
@@ -1223,14 +1165,12 @@ impl Engine {
     /// (and traced, when tracing, as a single run-length record):
     /// `counts.total()` always equals the number of slots the run covered.
     /// Live cohorts, classes, and Bernoulli lanes block the skip — they
-    /// draw randomness (and can transmit) every slot. So do jobs parked
-    /// through slots they hear: a polled listener would have kept these
-    /// slots from being skipped, and the skip counters and trace records
-    /// stay those of that run. Returns `false` when the skip lands on the
-    /// run's cap.
+    /// draw randomness (and can transmit) every slot. Jobs parked through
+    /// slots they hear do not: the skipped slots are silent, and silent
+    /// slots never enter the heard log. Returns `false` when the skip
+    /// lands on the run's cap.
     fn skip_gap(&mut self, st: &mut RunState) -> bool {
         if !self.active.is_empty()
-            || !self.listening.is_empty()
             || self.cohorts.live() > 0
             || self.classes.live() > 0
             || self.kernel.bern_live() > 0
@@ -1256,9 +1196,8 @@ impl Engine {
             next_event = next_event.min(wake);
         }
         if self.duty.total > 0 {
-            // Duty groups break the gap at their next wake, standing
-            // transmission, or listen slot (which may be this one,
-            // suppressing the skip).
+            // Duty groups break the gap at their next wake or standing
+            // transmission (which may be this slot, suppressing the skip).
             next_event = next_event.min(self.duty.next_event(st.slot));
         }
         if next_event <= st.slot {
@@ -1299,27 +1238,26 @@ impl Engine {
         let slot = st.slot;
         let mut i = self.active.len();
         self.parked.pop_due(slot, &mut self.active);
-        if self.duty.total > 0 || self.duty.dead_backstops > 0 {
-            while i < self.active.len() {
-                let idx = self.active[i] as usize;
+        let duty = self.duty.total > 0 || self.duty.dead_backstops > 0;
+        let hearing = self.heard.listeners > 0;
+        if !duty && !hearing {
+            return;
+        }
+        while i < self.active.len() {
+            let idx = self.active[i] as usize;
+            if hearing && self.heard.hearing(idx) {
+                self.catch_up(st, idx);
+            } else if duty {
                 if self.jobs.outcomes[idx].is_some() {
                     self.duty.dead_backstops -= 1;
                     self.active.swap_remove(i);
                     continue;
                 }
-                self.duty.leave(idx, slot, &mut self.jobs.accesses[idx], 0);
-                i += 1;
+                self.duty.leave(idx, slot, &mut self.jobs.accesses[idx]);
             }
+            i += 1;
         }
-        if self.listening.is_empty() {
-            return;
-        }
-        let from = self.active.len();
-        self.listening.pop_due(slot, &mut self.active);
-        for k in from..self.active.len() {
-            self.catch_up(st, self.active[k] as usize);
-        }
-        self.heard.settle(self.listening.len());
+        self.heard.settle();
     }
 
     /// Hand job `idx`, parked through heard slots, what it missed up to
@@ -1393,10 +1331,9 @@ impl Engine {
     /// Collect actions. The polled set is the active set (in order) plus
     /// the members of every duty group with a wake bit at this slot's
     /// position; duty groups with a *tx* bit here contribute standing
-    /// transmissions in aggregate instead, and groups with a listen bit
-    /// are noted for [`Engine::fan_out_listens`]. `tx_probability` is
-    /// purely diagnostic, so its virtual call is skipped when no trace
-    /// records it.
+    /// transmissions in aggregate instead. `tx_probability` is purely
+    /// diagnostic, so its virtual call is skipped when no trace records
+    /// it.
     fn collect_actions(&mut self, st: &RunState) {
         let (slot, recording) = (st.slot, st.wants_slots);
         let sc = &mut self.scratch;
@@ -1407,16 +1344,13 @@ impl Engine {
         sc.standing = 0;
         sc.standing_single = None;
         let mut memo = (0, 0);
-        for (gi, g) in self.duty.groups.iter().enumerate() {
+        for g in &self.duty.groups {
             if g.members.is_empty() {
                 continue;
             }
             let pos = g.position(slot, &mut memo);
             if g.wake_mask >> pos & 1 != 0 {
                 sc.polled.extend_from_slice(&g.members);
-            }
-            if g.listen_mask >> pos & 1 != 0 {
-                sc.listen_groups.push(gi as u32);
             }
             if g.tx_mask >> pos & 1 != 0 {
                 sc.standing += g.members.len() as u64;
@@ -1456,7 +1390,7 @@ impl Engine {
                 sc.declared += declared.unwrap_or(default_p);
             }
         }
-        if recording && !self.listening.is_empty() {
+        if recording && self.heard.listeners > 0 {
             // Parked listeners declare what they would have, polled.
             for (idx, &since) in self.heard.since.iter().enumerate() {
                 if since != NOT_LISTENING {
@@ -1569,7 +1503,6 @@ impl Engine {
                 // stale backstops of retired members are discounted.
                 live_jobs: (self.active.len() as u64
                     + self.parked_live()
-                    + self.listening.len() as u64
                     + (self.cohorts.live() + self.classes.live() + self.kernel.pending()) as u64)
                     as u32,
                 declared_contention: self.scratch.declared,
@@ -1637,13 +1570,11 @@ impl Engine {
                 // exactly as under dense polling.
                 let hint = protocol.next_wake(&ctx);
                 let wake = hint.map(|w| spec.release.saturating_add(w.at()).min(spec.deadline - 1));
-                match (hint, wake) {
-                    (Some(Wake::Hearing(_)), Some(wake)) if wake > slot + 1 => {
-                        self.heard.park(idx, self.jobs.len());
-                        self.listening.push(wake, idx as u32);
-                        true
-                    }
-                    (_, Some(wake)) if wake > slot + 1 => {
+                match wake {
+                    Some(wake) if wake > slot + 1 => {
+                        if let Some(Wake::Hearing(_)) = hint {
+                            self.heard.park(idx, self.jobs.len());
+                        }
                         self.parked.push(wake, idx as u32);
                         true
                     }
@@ -1672,68 +1603,7 @@ impl Engine {
                 let mut rng = CounterRng::new(self.jobs.keys[idx], st.slot, Phase::Feedback);
                 self.jobs.protocols[idx].on_feedback(&ctx, fb, &mut rng);
             }
-            self.requery(idx, &ctx, st.slot, 0);
-        }
-    }
-
-    /// Listen groups: one representative decides whether this slot's
-    /// feedback is group-invariant. If it is, nothing happens per member
-    /// (listen counters are settled lazily when members leave); if not,
-    /// every member observes the feedback individually — the
-    /// always-correct fallback. A slot that delivered a member's own data
-    /// forces the fallback so `duty_listen` implementations never reason
-    /// about delivery. Members registered during this slot's feedback
-    /// passes (`reg_slot == slot + 1`) already observed the slot on the
-    /// path that brought them here: they are skipped and cannot represent
-    /// the group.
-    fn fan_out_listens(&mut self, st: &RunState, fb: &Feedback) {
-        let slot = st.slot;
-        for li in 0..self.scratch.listen_groups.len() {
-            let gi = self.scratch.listen_groups[li] as usize;
-            let members = &self.duty.groups[gi].members;
-            let forced = match fb {
-                Feedback::Success { src, payload } if payload.is_data() => {
-                    let owner = payload.data_owner().unwrap_or(*src);
-                    self.duty
-                        .where_of
-                        .get(owner as usize)
-                        .is_some_and(|&(g1, p)| {
-                            g1 as usize == gi + 1 && members.get(p as usize) == Some(&owner)
-                        })
-                }
-                _ => false,
-            };
-            if !forced {
-                let reg_slot = &self.duty.reg_slot;
-                let Some(&rep) = members.iter().find(|&&m| reg_slot[m as usize] <= slot) else {
-                    continue;
-                };
-                let ctx = st.ctx(&self.jobs.specs[rep as usize], self.jobs.keys[rep as usize]);
-                if self.jobs.protocols[rep as usize].duty_listen(&ctx, fb) {
-                    continue;
-                }
-            }
-            let mut m = 0;
-            while let Some(&idx) = self.duty.groups[gi].members.get(m) {
-                let idx = idx as usize;
-                if self.duty.reg_slot[idx] > slot {
-                    m += 1;
-                    continue;
-                }
-                let ctx = st.ctx(&self.jobs.specs[idx], self.jobs.keys[idx]);
-                let mut rng = CounterRng::new(self.jobs.keys[idx], slot, Phase::Feedback);
-                self.jobs.protocols[idx].on_feedback(&ctx, fb, &mut rng);
-                if st.probed {
-                    // The drain pass walks the polled snapshot; fanned-out
-                    // listeners may have emitted events too.
-                    self.scratch.polled.push(idx as u32);
-                }
-                // A member that left its group was replaced at `m` by
-                // `swap_remove`: revisit the same index.
-                if self.requery(idx, &ctx, slot, 1) {
-                    m += 1;
-                }
-            }
+            self.requery(idx, &ctx, st.slot);
         }
     }
 
@@ -1741,10 +1611,8 @@ impl Engine {
     /// delivery or at its deadline, else re-query its schedule. An
     /// unchanged schedule keeps its place, a changed one moves it to
     /// another group, and `None` — the completion signal (see
-    /// [`Protocol::duty_cycle`]) — retires it. `attended` counts a fan-out
-    /// listen the lazy settle does not cover. Returns `true` when the
-    /// member kept its place in its group.
-    fn requery(&mut self, idx: usize, ctx: &JobCtx, slot: u64, attended: u64) -> bool {
+    /// [`Protocol::duty_cycle`]) — retires it.
+    fn requery(&mut self, idx: usize, ctx: &JobCtx, slot: u64) {
         let spec = self.jobs.specs[idx];
         let dc = if self.jobs.outcomes[idx].is_some() || slot + 1 >= spec.deadline {
             None
@@ -1754,23 +1622,18 @@ impl Engine {
         match dc {
             // Unchanged schedule (the overwhelmingly common case): one
             // struct compare, no division.
-            Some(dc) if self.duty.reg_dc[idx] == Some(dc) => true,
+            Some(dc) if self.duty.reg_dc[idx] == Some(dc) => {}
             Some(dc) if self.duty.key_matches(idx, &dc, spec.release) => {
                 self.duty.reg_dc[idx] = Some(dc);
-                true
             }
             Some(dc) => {
-                self.duty
-                    .leave(idx, slot, &mut self.jobs.accesses[idx], attended);
+                self.duty.leave(idx, slot, &mut self.jobs.accesses[idx]);
                 self.duty.register(idx, &dc, spec.release, slot);
-                false
             }
             None => {
-                self.duty
-                    .leave(idx, slot, &mut self.jobs.accesses[idx], attended);
+                self.duty.leave(idx, slot, &mut self.jobs.accesses[idx]);
                 self.duty.dead_backstops += 1;
                 self.jobs.retire(idx);
-                false
             }
         }
     }
@@ -1826,8 +1689,7 @@ impl Engine {
     }
 
     /// Run any remaining slots and assemble the [`SimReport`]. Consumes
-    /// the run state; the engine needs an [`Engine::reset`] before another
-    /// run.
+    /// the run state; the engine runs no other trial.
     pub fn finish(&mut self) -> SimReport {
         if self.run_state.is_none() {
             self.begin();
@@ -1841,9 +1703,9 @@ impl Engine {
         // Jobs still parked through heard slots when the loop ended (the
         // slot cap arrived before their wake) catch up to the cap, so their
         // listens count exactly as under dense polling.
-        if !self.listening.is_empty() {
+        if self.heard.listeners > 0 {
             for idx in 0..self.jobs.len() {
-                if self.heard.since[idx] != NOT_LISTENING {
+                if self.heard.hearing(idx) {
                     self.catch_up(&st, idx);
                 }
             }
@@ -1860,11 +1722,11 @@ impl Engine {
 
         // Jobs still in the duty layer when the loop ended (the slot cap
         // arrived before their deadline backstop fired): settle the standing
-        // transmissions and aggregate listens they made before the cap,
-        // exactly as dense polling would have counted them.
+        // transmissions they made before the cap, exactly as dense polling
+        // would have counted them.
         if self.duty.total > 0 {
             for idx in 0..self.jobs.len() {
-                self.duty.leave(idx, slot, &mut self.jobs.accesses[idx], 0);
+                self.duty.leave(idx, slot, &mut self.jobs.accesses[idx]);
             }
         }
 
@@ -2193,7 +2055,6 @@ impl Drop for Engine {
             active: std::mem::take(&mut self.active),
             by_release: std::mem::take(&mut self.by_release),
             parked: std::mem::take(&mut self.parked),
-            listening: std::mem::take(&mut self.listening),
             heard: std::mem::take(&mut self.heard),
             scratch: std::mem::take(&mut self.scratch),
             event_scratch: std::mem::take(&mut self.event_scratch),
@@ -2230,6 +2091,82 @@ mod tests {
         let mut e = Engine::new(EngineConfig::default(), 1);
         e.add_job(JobSpec::new(0, 0, 16), Box::new(Deaf));
         e.run();
+    }
+
+    /// Listens in every slot of its window, parked hearing until local
+    /// slot `at`, where it transmits its data; `on_heard` leaves the
+    /// length of each log it was handed in `logs`.
+    struct Hark {
+        at: u64,
+        last: u64,
+        logs: std::rc::Rc<std::cell::RefCell<Vec<usize>>>,
+    }
+    impl Protocol for Hark {
+        fn act(&mut self, ctx: &JobCtx, _rng: &mut dyn RngCore) -> Action {
+            self.last = ctx.local_time;
+            if ctx.local_time == self.at {
+                Action::Transmit(Payload::Data(ctx.id))
+            } else {
+                Action::Listen
+            }
+        }
+        fn next_wake(&self, ctx: &JobCtx) -> Option<Wake> {
+            (ctx.local_time < self.at).then_some(Wake::Hearing(self.at))
+        }
+        fn on_heard(&mut self, ctx: &JobCtx, heard: Heard<'_>) -> u64 {
+            self.logs.borrow_mut().push(heard.len());
+            ctx.local_time - self.last - 1
+        }
+    }
+
+    /// A job parked hearing through a silent stretch does not hold the
+    /// stretch open: with no jammer it is skipped as a gap and the job
+    /// catches up on an empty log. An idle-striking adversary (bursty
+    /// Gilbert–Elliott) draws in every slot, so nothing is skipped. Either
+    /// way the job's listens and outcome are those of dense polling.
+    #[test]
+    fn hearing_park_lets_silent_stretch_be_skipped() {
+        use crate::jamming::AdversarySpec;
+        let ge = AdversarySpec::Bursty {
+            p_enter: 0.05,
+            p_exit: 0.2,
+        };
+        for (jammer, skipped) in [(Jammer::none(), true), (ge.jammer(0.6), false)] {
+            let run = |config: EngineConfig| {
+                let logs = std::rc::Rc::default();
+                let mut e = Engine::new(config, 5);
+                e.set_jammer(jammer.clone());
+                e.add_job(
+                    JobSpec::new(0, 0, 4096),
+                    Box::new(Hark {
+                        at: 2000,
+                        last: 0,
+                        logs: std::rc::Rc::clone(&logs),
+                    }),
+                );
+                let r = e.run();
+                (r, logs.take())
+            };
+            let (event, logs) = run(EngineConfig::default());
+            let (dense, _) = run(EngineConfig::default().dense());
+            assert_eq!(logs.len(), 1, "one park, one catch-up");
+            assert_eq!(event.sched_stats.parks, 1, "the heard park is counted");
+            if skipped {
+                assert_eq!(logs, [0], "a silent stretch logs nothing");
+                assert!(
+                    event.sched_stats.gap_slots >= 1998,
+                    "slots 1..2000 are one gap: {:?}",
+                    event.sched_stats
+                );
+                assert_eq!(event.outcome(0), JobOutcome::Success { slot: 2000 });
+                assert_eq!(event.accesses_of(0).listens, 2000);
+            } else {
+                assert_eq!(event.sched_stats.gap_slots, 0, "{:?}", event.sched_stats);
+            }
+            assert_eq!(event.outcomes(), dense.outcomes());
+            assert_eq!(event.counts, dense.counts);
+            assert_eq!(event.accesses, dense.accesses);
+        }
     }
 
     /// The heard log compacts while listeners stay parked: every `take`
@@ -2297,7 +2234,7 @@ mod tests {
         m.take(1);
         m.record(3000);
         m.take(2);
-        m.log.settle(0);
+        m.log.settle();
         assert!(m.log.entries.is_empty());
         assert_eq!(m.log.base, 0);
     }
@@ -2627,47 +2564,9 @@ mod tests {
         assert!((trace[0].declared_contention - 1.0).abs() < 1e-12);
     }
 
-    /// A small contended population exercising collisions and retirement,
-    /// used by the reuse tests below.
-    fn contended_setup(e: &mut Engine) {
-        e.add_job(JobSpec::new(0, 0, 8), Box::new(AtLocal(2)));
-        e.add_job(JobSpec::new(1, 1, 9), Box::new(AtLocal(1)));
-        e.add_job(
-            JobSpec::new(2, 0, 64),
-            Box::new(Recorder {
-                seen: Vec::new(),
-                when: 5,
-            }),
-        );
-    }
-
     #[test]
-    fn reset_then_rerun_is_bit_identical() {
-        let run_fresh = |seed: u64| {
-            let mut e = Engine::fresh(EngineConfig::default().with_trace(), seed);
-            contended_setup(&mut e);
-            e.run()
-        };
-        let mut reused = Engine::fresh(EngineConfig::default().with_trace(), 7);
-        contended_setup(&mut reused);
-        let first = reused.run();
-        for seed in [7u64, 99, 7] {
-            reused.reset(seed);
-            contended_setup(&mut reused);
-            let again = reused.run();
-            let fresh = run_fresh(seed);
-            assert_eq!(again.outcomes(), fresh.outcomes(), "seed {seed}");
-            assert_eq!(again.counts, fresh.counts, "seed {seed}");
-            assert_eq!(again.accesses, fresh.accesses, "seed {seed}");
-            assert_eq!(again.trace(), fresh.trace(), "seed {seed}");
-        }
-        // Same seed after unrelated runs in between: still identical.
-        assert_eq!(first.outcomes(), run_fresh(7).outcomes());
-    }
-
-    #[test]
-    #[should_panic(expected = "call Engine::reset between runs")]
-    fn second_run_without_reset_panics() {
+    #[should_panic(expected = "build a new engine for each run")]
+    fn second_run_panics() {
         let mut e = Engine::new(EngineConfig::default(), 1);
         e.add_job(JobSpec::new(0, 0, 4), Box::new(AtLocal(2)));
         let _ = e.run();

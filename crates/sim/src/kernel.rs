@@ -129,7 +129,7 @@ impl SlotKernel {
         self.homes.resize(n_jobs, Home::None);
     }
 
-    /// Drop all state (the engine's reset contract).
+    /// Drop all state (the trial arena's clearing contract).
     pub(crate) fn clear(&mut self) {
         self.berns.clear();
         self.shots.clear();

@@ -115,10 +115,11 @@ pub struct SchedStats {
     /// Total slots covered by those stretches (subset of
     /// [`SlotCounts::silent`]).
     pub gap_slots: u64,
-    /// Jobs parked on a wake hint (total [`crate::sched::WakeQueue`]
-    /// insertions over the run).
+    /// Jobs parked on a wake hint, asleep or hearing (total
+    /// [`crate::sched::WakeQueue`] insertions over the run, duty-member
+    /// deadline backstops included).
     pub parks: u64,
-    /// Peak number of simultaneously parked jobs.
+    /// Peak number of simultaneously parked jobs (queue entries).
     pub peak_parked: u64,
 }
 

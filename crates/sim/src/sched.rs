@@ -237,7 +237,7 @@ impl WakeQueue {
 
     /// Empty the queue and reset the lifetime counters, keeping every
     /// bucket's and the heap's allocation for the next run (the trial
-    /// arena's reset contract).
+    /// arena's clearing contract).
     pub fn clear(&mut self) {
         for bucket in &mut self.buckets {
             bucket.clear();

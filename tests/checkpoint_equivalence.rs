@@ -172,7 +172,7 @@ fn unsupported_and_mismatched_cases_are_typed_errors() {
     // An image written while checkpoints still carried the raw bits of
     // the declared-contention sum has that key, always 0, after
     // `gap_slots` (the sum was kept only for observed runs, which never
-    // snapshot). It is still version 4: it loads, restores into the
+    // snapshot). At the current version it loads, restores into the
     // matching construction and finishes byte-identically to an
     // uninterrupted run.
     let mut doc = serde_json::to_value(&ck).expect("checkpoint to json");
@@ -188,7 +188,7 @@ fn unsupported_and_mismatched_cases_are_typed_errors() {
         ("contention_sum_bits".into(), Value::Number(Number::U(0))),
     );
     let json = serde_json::to_string(&doc).expect("serialize");
-    let old: Checkpoint = serde_json::from_str(&json).expect("older v4 image parses");
+    let old: Checkpoint = serde_json::from_str(&json).expect("image with the old key parses");
     assert_eq!(old, ck);
     let mut resumed = build(1);
     resumed
@@ -276,10 +276,22 @@ fn tampered_checkpoints_are_mismatches() {
 
     // A version-3 image carried protocol, adversary and kernel state as
     // packed words; the version refuses it before any state is decoded.
-    let v3 = Checkpoint { version: 3, ..ck };
+    let v3 = Checkpoint {
+        version: 3,
+        ..ck.clone()
+    };
     assert!(
         refused(EngineConfig::default().cohort(), &v3),
         "a version-3 checkpoint must be a mismatch"
+    );
+
+    // A version-4 image gave every duty group a listen mask, whose
+    // positions one member heard for the whole group; the version refuses
+    // it.
+    let v4 = Checkpoint { version: 4, ..ck };
+    assert!(
+        refused(EngineConfig::default().cohort(), &v4),
+        "a version-4 checkpoint must be a mismatch"
     );
 
     // A parked entry before the wake queue's base (a wake in the past).

@@ -146,7 +146,7 @@ fn aggregate_contention_accounting_matches_exact() {
 }
 
 /// Same seed ⇒ same cohort draws ⇒ an identical report, whether a fresh
-/// engine runs it or one reset after another trial.
+/// engine runs it or one built on the allocations other trials left.
 #[test]
 fn cohort_mode_is_deterministic_per_seed() {
     check(&grid("cohort-aloha", ALL, 0..2), &[REUSE]);

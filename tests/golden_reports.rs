@@ -12,9 +12,10 @@
 //! scheduling modes and three adversaries (none,
 //! Gilbert–Elliott, reactive). One more run pauses, snapshots, restores
 //! into a fresh engine and finishes there, two single cells pin
-//! binomial draws on both sides of `sample_binomial`'s BTRS line, and two
+//! binomial draws on both sides of `sample_binomial`'s BTRS line, two
 //! more pin E7's stress cell (64 exact ALIGNED jobs in one window under an
-//! all-successes jammer) in both scheduling modes.
+//! all-successes jammer) in both scheduling modes, and a last one runs the
+//! one `punctual` cell whose followers run, event-driven.
 //!
 //! Each report is serialized with `engine_nanos` zeroed and hashed with
 //! [`sha256_hex`]. A deliberate change to a random stream updates the pins
@@ -222,6 +223,18 @@ fn grid() -> Vec<(String, String)> {
         let report = build(config, &jam, seed, &stress).run();
         out.push((format!("aligned-stress/{mode}/all"), digest(report)));
     }
+    // Of the `punctual` cells, only the dense reactive one (seed 141)
+    // reaches FOLLOW-THE-LEADER; the same run event-driven pins the
+    // follower's duty group.
+    let punctual = population("punctual");
+    let (_, reactive) = &adversaries()[2];
+    let config = punctual
+        .config
+        .clone()
+        .with_trace()
+        .with_probe(ProbeSpec::new().with(SinkSpec::Events));
+    let report = build(config, reactive, 141, &punctual).run();
+    out.push(("punctual-follow/event/reactive".into(), digest(report)));
     out
 }
 
@@ -241,7 +254,13 @@ fn grid() -> Vec<(String, String)> {
 /// before exact ALIGNED jobs parked through the estimation steps they only
 /// listen to; they did not move when that landed. The `punctual` and
 /// `clocked` pins were taken while PUNCTUAL's followers still heard the
-/// timekeeper beacon through a duty-group listen position.
+/// timekeeper beacon through a duty-group listen position, and so was
+/// `punctual-follow` (on that code, just after the others); none of them
+/// moved when it became a wake position. The event-driven
+/// `exact-aligned`, `clocked` and `aligned-stress` pins moved when jobs
+/// parked hearing joined the one wake calendar, in `sched_stats` and the
+/// trace's silent run lengths alone: heard parks are counted, and the
+/// silent stretches they sit through are skipped.
 const PINS: &str = "\
 exact-mixed/event/clean 2ea954f3f82c0feeddc5ddb11a357cdb0fab6ce87b231ddef97d1cbef00292ce
 exact-mixed/event/ge bff9ec0e7868f7eacde9bda058b27d6ba2147e474a419ee61acb4adbbaf27bca
@@ -273,9 +292,9 @@ vectorized-mixed/event/reactive 97fb6587146788f8759b60157fde4246285f78fb12fb04a6
 vectorized-mixed/dense/clean 1d7f894ec2ee4ca81fbbc4f4f49f0104f4c962a0dd2d6c5c460f729d548265b5
 vectorized-mixed/dense/ge 4c906e74c55753f09fc69a3dd229fd9e67477e1b3fea1d5f2ef7f288844c9f36
 vectorized-mixed/dense/reactive 95ba6b51710e3d0f245567228ad7b4d93fd77c850b970f2397411cd5f6db8175
-exact-aligned/event/clean 42fe8c5b77b5cdfddac079c8320bd9742b3e2abf6151985196aff588d4b8a78d
-exact-aligned/event/ge 7f4d9b7cabb74f8eb27f1a0d8a7ed30fa55021c4994d1d7172196f408acc13b3
-exact-aligned/event/reactive caca12cf6da93a04618374e254c4ff1df8278121f7eb91d9907e098ff7453d5f
+exact-aligned/event/clean ec753d6aff73742cbbaaa0096fbac6460547ee448b549d7454bf0ab563452533
+exact-aligned/event/ge 47a00f4a9084f0b2b648f3022e48024a44b0146b498caf6e0e778975dbcd5e5c
+exact-aligned/event/reactive a5ed2e5c0c3dca7d9512eff967b07435cf9dd3813fc77405e13d44da47daa476
 exact-aligned/dense/clean b5463a12eb3a19983eced0b688e77434aed1beb1aaea2aa5f5467e59c585e020
 exact-aligned/dense/ge 3979425b4a35429a1c7bd306dcdbe5baa0b963fcd7ec1cccecf25324932f856b
 exact-aligned/dense/reactive f7174f2917dfc0300d99c2049612cd6ecca1c03aa3f65aad8fe728a896cfec48
@@ -285,17 +304,18 @@ punctual/event/reactive 6bb010e455d264e811830dcf139756e791681137bcbf741524ebba5d
 punctual/dense/clean 43f3f853fb47282ca6852958104a86aeee138c360319bab3657a9dcd54344655
 punctual/dense/ge af994a2dc20193b153d1de922051f5dc33b32be6c8eb2c39cbb650e7f7a5bc1d
 punctual/dense/reactive e2317aa3d7acaf2115181b4e34784e210a9fcbb70fa9ae10d204f4427e41a98d
-clocked/event/clean 187efbe942b0d952a343c10f6221bdd4bb7cd6d40afee503527868b11a9c9ab6
-clocked/event/ge 05367b5d08efe391a1ed4e44199262455aabe14ac5661d0a5f83d972fdfa5df6
-clocked/event/reactive 114a8f7af7423120b88ba2fac55d3ab8b1b12d1802cb9d517172384946f501ac
+clocked/event/clean b402170fe5ccb35e26b339ee6d5bb1ebf716e6745caaeba9dd1f3d908db866d4
+clocked/event/ge a00b0dec28da19d109955240390f1e2aea9fb19c81be0ba1309d1bd5e2454289
+clocked/event/reactive 1985bbf357c2b4748732f04f29d2c9fa59f142e7146cfb2feefc912254faa0b9
 clocked/dense/clean 47f6660b0663a1c1e1a2bc0a54e690c7522ed46889895e97b7a601117e9021de
 clocked/dense/ge c557222ddeb0373fe4f29e16c204f8f9714437676972c7950f66783800899d23
 clocked/dense/reactive 0da0dfc1393f8d36c4a10c1c1c0e793c5bd2b02e15e7d12897d9486d47610ae6
 checkpoint 51cbaadfb186c03b1679542a1da6a5c9bfc1314fb3e4818d63a8d7b3e9964c11
 cohort-aligned-64/event/clean cc51f8a600fe2114090bfeb3cef9f418ad430ca85e74b6d1ec193d60ba95a9d7
 cohort-aloha-shared/event/clean 455f8a5570f31dc7b8a79627834365539b123dc6e728856064fa8681ba3d0e24
-aligned-stress/event/all 5c37b83c2889a6aa8b08b5dadf0070d6d847c19a5cde51367332837fbbc4504d
+aligned-stress/event/all 91775919bc167ad8c9b4434b9cf058cd1b6e7b3e26114475d8a00f26e105af10
 aligned-stress/dense/all a787a2ecc574dbc9688932236b019da421af120b8b7abeef84743c84b8051a7a
+punctual-follow/event/reactive 9412f0c460098f29de007e4d8f6e53cb53414b72a0ecadda021790e09abb9458
 ";
 
 #[test]

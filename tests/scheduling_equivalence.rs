@@ -220,9 +220,9 @@ proptest! {
         check_case(&case.cohort(), &[DENSE]);
     }
 
-    /// Trial-arena reuse: a pooled engine reset after other trials reports
-    /// byte-identically to `Engine::fresh`, untraced and traced (raw trace
-    /// included), in either scheduling mode.
+    /// Trial-arena reuse: an engine on the pooled allocations of other
+    /// trials reports byte-identically to `Engine::fresh`, untraced and
+    /// traced (raw trace included), in either scheduling mode.
     #[test]
     fn pooled_reuse_equals_fresh(case in arb_case(8, 256, testkit::pow2(6..11)), dense in 0u8..2) {
         let reuse = [REUSE, OBSERVED | REUSE].map(|v| v | (dense * DENSE));

@@ -15,7 +15,7 @@
 //! | [`OBSERVED`] | traced, with event, Chrome and aggregate probe sinks | `probes` |
 //! | [`RESTORE`]  | paused, snapshotted, JSON round-tripped and restored into a fresh engine; the paused engine finishes too | nothing |
 //! | [`BRANCH`]   | through `run_branched`, against an inline adversary swap at the pause | nothing |
-//! | [`REUSE`]    | on a pooled engine `reset` after two other trials, against `Engine::fresh` | nothing |
+//! | [`REUSE`]    | on the pooled engine two other trials on this thread left behind, against `Engine::fresh` | nothing |
 //!
 //! [`check`] compares a *variant* (a set of transforms) with the variant
 //! minus each of its transforms, under that transform's mask, so a pair
@@ -135,15 +135,15 @@ const PERIOD: u64 = 8;
 
 /// A synthetic duty-cycled protocol that reaches the duty-layer paths
 /// PUNCTUAL rarely does in a short run: schedule changes between groups,
-/// equivalent-but-unequal schedules (a shifted anchor), listen positions
-/// whose feedback fans out to every member, the `None` completion signal,
-/// and deadline backstops of members still in the layer. Unlike PUNCTUAL
-/// it captures its state, so duty groups can be checkpointed.
+/// equivalent-but-unequal schedules (a shifted anchor), the `None`
+/// completion signal, and deadline backstops of members still in the
+/// layer. Unlike PUNCTUAL it captures its state, so duty groups can be
+/// checkpointed.
 ///
 /// Positions (mod [`PERIOD`]): 0 is a standing control broadcast in mode
-/// 0, 2 (and 6 in mode 1) wake for a real `act`, 5 listens. Only a
-/// delivered data message changes state at a listen position, which is
-/// exactly when `duty_listen` declines.
+/// 0, and 2 (and 6 in mode 1) wake for a real `act`. 5 is a wake too,
+/// where `act` listens with no draw: only a delivered data message heard
+/// there changes state.
 #[derive(Default, Serialize, Deserialize)]
 pub struct Metronome {
     mode: u8,
@@ -154,23 +154,26 @@ pub struct Metronome {
 impl Metronome {
     const BEAT: Payload = Payload::Control(ControlMsg::of_kind(7));
 
-    /// `(wake, tx, listen)` masks of the current mode.
-    fn masks(&self) -> (u64, u64, u64) {
+    /// The wake position where `act` only listens.
+    const LISTEN: u64 = 1 << 5;
+
+    /// `(wake, tx)` masks of the current mode.
+    fn masks(&self) -> (u64, u64) {
         match self.mode {
-            0 => (1 << 2, 1 << 0, 1 << 5),
-            _ => (1 << 2 | 1 << 6, 0, 1 << 5),
+            0 => (1 << 2 | Self::LISTEN, 1 << 0),
+            _ => (1 << 2 | 1 << 6 | Self::LISTEN, 0),
         }
     }
 }
 
 impl Protocol for Metronome {
     fn act(&mut self, ctx: &JobCtx, rng: &mut dyn RngCore) -> Action {
-        let (wake, tx, listen) = self.masks();
+        let (wake, tx) = self.masks();
         let bit = 1u64 << (ctx.local_time % PERIOD);
         if tx & bit != 0 {
             return Action::Transmit(Self::BEAT);
         }
-        if listen & bit != 0 {
+        if bit == Self::LISTEN {
             return Action::Listen;
         }
         if wake & bit == 0 {
@@ -209,19 +212,14 @@ impl Protocol for Metronome {
         if self.is_done() {
             return None;
         }
-        let (wake_mask, tx_mask, listen_mask) = self.masks();
+        let (wake_mask, tx_mask) = self.masks();
         Some(DutyCycle {
             period: PERIOD as u8,
             wake_mask,
             tx_mask,
             tx_payload: Self::BEAT,
-            listen_mask,
             anchor_local: self.shift * PERIOD,
         })
-    }
-
-    fn duty_listen(&self, _ctx: &JobCtx, fb: &Feedback) -> bool {
-        !matches!(fb.payload(), Some(Payload::Data(_)))
     }
 
     fn save_state(&self) -> Option<Value> {
@@ -384,9 +382,6 @@ impl Protocol for Watched {
     fn duty_cycle(&self, ctx: &JobCtx) -> Option<DutyCycle> {
         self.inner.duty_cycle(ctx)
     }
-    fn duty_listen(&self, ctx: &JobCtx, fb: &Feedback) -> bool {
-        self.inner.duty_listen(ctx, fb)
-    }
     fn cohort_tx(&self, ctx: &JobCtx) -> Option<CohortTx> {
         self.inner.cohort_tx(ctx)
     }
@@ -482,9 +477,6 @@ impl<P: Protocol + fmt::Debug> Protocol for Audited<P> {
     }
     fn duty_cycle(&self, ctx: &JobCtx) -> Option<DutyCycle> {
         self.inner.duty_cycle(ctx)
-    }
-    fn duty_listen(&self, ctx: &JobCtx, fb: &Feedback) -> bool {
-        self.inner.duty_listen(ctx, fb)
     }
     fn cohort_tx(&self, ctx: &JobCtx) -> Option<CohortTx> {
         self.inner.cohort_tx(ctx)
@@ -948,7 +940,7 @@ pub const OBSERVED: u8 = 1 << 2;
 pub const RESTORE: u8 = 1 << 3;
 /// Fork the suffix through `run_branched`.
 pub const BRANCH: u8 = 1 << 4;
-/// Run on an engine reset after other trials.
+/// Run on the pooled allocations of other trials' dropped engines.
 pub const REUSE: u8 = 1 << 5;
 /// The transforms that may change scheduling counters.
 const SCHED: u8 = DENSE | VECTORIZED;
@@ -993,8 +985,9 @@ fn label(v: u8) -> String {
 }
 
 /// What one run showed, for the vacuity assertions: it `parked` a job
-/// (asleep, which `SchedStats` counts, or through slots it hears) or
-/// skipped a gap; it made `activations` exact-path `on_activate` calls; a
+/// (`SchedStats` counts asleep and heard parks; a heard park's catch-up
+/// is seen even in a run whose snapshot was then refused) or skipped a
+/// gap; it made `activations` exact-path `on_activate` calls; a
 /// pause found it live and `forked` it, or its snapshot was `refused` as
 /// `Unsupported`; a probe saw an `event`, or a job-less class
 /// `driver_record`; its engine was `reused` after other trials.
@@ -1037,22 +1030,22 @@ fn run(case: &Case, v: u8, inline_swap: bool) -> Run {
     let reused = Cell::new(false);
     let build = || {
         let mut e = if v & REUSE != 0 {
-            Engine::new(config.clone(), 0)
+            // Two other trials under other adversaries run and drop their
+            // engines on this thread; the case takes the allocations they
+            // left in the arena pool.
+            for (adv, seed) in [(&case.swap, case.seed ^ 0x5eed), (&case.adv, !case.seed)] {
+                let mut other = Engine::new(config.clone(), seed);
+                other.set_jammer(adv.jammer());
+                other.add_jobs(&pop.jobs, factory);
+                other.run();
+            }
+            let before = Engine::arena_reuses();
+            let e = Engine::new(config.clone(), case.seed);
+            reused.set(Engine::arena_reuses() > before);
+            e
         } else {
             Engine::fresh(config.clone(), case.seed)
         };
-        if v & REUSE != 0 {
-            // An engine from the thread's arena pool, dirtied by two other
-            // trials under other adversaries.
-            for (adv, seed) in [(&case.swap, case.seed ^ 0x5eed), (&case.adv, !case.seed)] {
-                e.reset(seed);
-                e.set_jammer(adv.jammer());
-                e.add_jobs(&pop.jobs, factory);
-                e.run();
-            }
-            e.reset(case.seed);
-            reused.set(true);
-        }
         e.set_jammer(case.adv.jammer());
         e.add_jobs(&pop.jobs, factory);
         e
